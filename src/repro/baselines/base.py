@@ -5,7 +5,8 @@ Every tuning method — the baselines here and the paper's framework in
 ``suggest()`` returns the configuration for the next periodic
 execution, ``observe(config, result)`` feeds back what that execution
 reported. Capability flags are declared per class and printed by the
-Table 1 experiment.
+Table 1 experiment. :class:`OneShotSubspaceTuner` is the BO loop that
+Tuneful and LOCAT share.
 """
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bo import RunHistory
+from repro.core.bo import RunHistory, append_datasize, datasize_feature
 from repro.core.config_space import ConfigSpace
+from repro.core.generator import propose
+from repro.core.gp import GaussianProcess
 from repro.core.objective import ExecResult, TuningProblem
 
 YES, NO, PARTIAL = "yes", "no", "partial"
@@ -60,3 +63,45 @@ class Tuner:
     def best_config(self) -> dict:
         best = self.history.best()
         return best.config if best else self.space.default_config()
+
+
+class OneShotSubspaceTuner(Tuner):
+    """BO in a sub-space chosen once (Tuneful, LOCAT): a Sobol design,
+    random configs until ``sa_rounds`` runs, then the ``top_k`` dims of
+    :meth:`_select_dims` are fixed and each suggest maximizes EI over
+    ``n_candidates`` rows that vary only them around the incumbent."""
+
+    n_init = 3
+    sa_rounds = 10      # executions before the sub-space is chosen
+    top_k = 10          # parameters kept in it
+    n_candidates = 1000
+    datasize_aware = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._dims: list[int] | None = None  # fixed once chosen
+
+    def _select_dims(self) -> list[int]:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def suggest(self) -> dict:
+        it = len(self.history)
+        if it < self.n_init:
+            return self.space.sample_sobol(self.n_init, seed=self.seed)[it]
+        if it < self.sa_rounds:
+            return self.space.sample_random(1, self.rng)[0]
+        if self._dims is None:
+            self._dims = self._select_dims()
+        ds = self.datasize_aware
+        gp = GaussianProcess(self.space.cat_mask, has_datasize=ds).fit(
+            self.history.X_unit(with_datasize=ds), self.history.penalized_objectives()
+        )
+        best = self.history.best()
+        U = self.space.sample_unit(
+            self.n_candidates, self.rng, subspace=self._dims, base=best.config
+        )
+        X = U
+        if ds:
+            X = append_datasize(U, datasize_feature(self.history.observations[-1].result.datasize_mb))
+        idx, _ = propose(X, gp, best.objective)
+        return self.space.from_unit(U[idx])

@@ -9,11 +9,9 @@ notes, "it cannot handle the large Spark search space well".
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.base import NO, PARTIAL, YES, Capabilities, Tuner
-from repro.core.acquisition import eic
-from repro.core.gp import GaussianProcess
+from repro.core.acquisition import eic  # noqa: F401  (benchmark tracer wraps this name)
+from repro.core.generator import fit_surrogates, propose
 
 
 class CherryPickTuner(Tuner):
@@ -28,22 +26,8 @@ class CherryPickTuner(Tuner):
         it = len(self.history)
         if it < self.n_init:
             return self.space.sample_sobol(self.n_init, seed=self.seed)[it]
-        X = self.history.X_unit()
-        gp_f = GaussianProcess(self.space.cat_mask).fit(
-            X, self.history.penalized_objectives()
-        )
-        gp_t = GaussianProcess(self.space.cat_mask).fit(
-            X, np.log(np.maximum(self.history.runtimes(), 1e-9))
-        )
-        cands = self.space.sample_random(self.n_candidates, self.rng)
-        U = np.array([self.space.to_unit(c) for c in cands])
-        mu_f, sd_f = gp_f.predict(U)
-        posteriors = []
-        for c in self.problem.constraints:
-            if c.metric == "runtime":
-                mu_t, sd_t = gp_t.predict(U)
-                posteriors.append((mu_t, sd_t, np.log(max(c.threshold, 1e-9))))
-        best = self.history.best()
-        y_best = best.objective if best else float(np.min(self.history.objectives()))
-        acq = eic(mu_f, sd_f, y_best, posteriors)
-        return cands[int(np.argmax(acq))]
+        gp_f, gp_t = fit_surrogates(self.history, with_ds=False)
+        U = self.space.sample_unit(self.n_candidates, self.rng)
+        runtime = (gp_t, self.problem.thresholds("runtime"))
+        idx, _ = propose(U, gp_f, self.history.best().objective, runtime)
+        return self.space.from_unit(U[idx])

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import PARTIAL, YES, Capabilities, Tuner
-from repro.core.acquisition import expected_improvement
-from repro.core.bo import datasize_feature
-from repro.core.gp import GaussianProcess
+from repro.baselines.base import PARTIAL, YES, Capabilities, OneShotSubspaceTuner
 
 
 def spearman(a: np.ndarray, b: np.ndarray) -> float:
@@ -37,47 +34,15 @@ def spearman(a: np.ndarray, b: np.ndarray) -> float:
     return float(((ra - ra.mean()) * (rb - rb.mean())).mean() / (sa * sb))
 
 
-class LOCATTuner(Tuner):
+class LOCATTuner(OneShotSubspaceTuner):
     """Spearman-selected important parameters + datasize-aware GP."""
 
     name = "LOCAT"
     capabilities = Capabilities(noer=YES, adaptive_space=PARTIAL)
-    n_init = 3
-    sa_rounds = 10
-    top_k = 10
-    n_candidates = 1000
+    datasize_aware = True
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._dims: list[int] | None = None
-
-    def _spearman_dims(self) -> list[int]:
+    def _select_dims(self) -> list[int]:
         X = self.history.X_unit()
         y = self.history.objectives()
         scores = np.array([abs(spearman(X[:, i], y)) for i in range(self.space.dim)])
         return list(np.argsort(-scores, kind="stable")[: self.top_k])
-
-    def suggest(self) -> dict:
-        it = len(self.history)
-        if it < self.n_init:
-            return self.space.sample_sobol(self.n_init, seed=self.seed)[it]
-        if it < self.sa_rounds:
-            return self.space.sample_random(1, self.rng)[0]
-        if self._dims is None:
-            self._dims = self._spearman_dims()
-        X = self.history.X_unit(with_datasize=True)
-        gp = GaussianProcess(self.space.cat_mask, has_datasize=True).fit(
-            X, self.history.penalized_objectives()
-        )
-        best = self.history.best()
-        base = best.config if best else self.space.default_config()
-        cands = self.space.sample_random(
-            self.n_candidates, self.rng, subspace=self._dims, base=base
-        )
-        ds = datasize_feature(self.history.observations[-1].result.datasize_mb)
-        U = np.array([self.space.to_unit(c) for c in cands])
-        U = np.concatenate([U, np.full((len(U), 1), ds)], axis=1)
-        mu, sd = gp.predict(U)
-        y_best = best.objective if best else float(np.min(self.history.objectives()))
-        acq = expected_improvement(mu, sd, y_best)
-        return cands[int(np.argmax(acq))]

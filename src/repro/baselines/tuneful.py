@@ -14,56 +14,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import PARTIAL, YES, Capabilities, Tuner
-from repro.core.acquisition import expected_improvement
-from repro.core.gp import GaussianProcess
+from repro.baselines.base import PARTIAL, YES, Capabilities, OneShotSubspaceTuner
 from repro.ml.fanova import fanova_importance
 from repro.ml.forest import RandomForestRegressor
 
 
-class TunefulTuner(Tuner):
+class TunefulTuner(OneShotSubspaceTuner):
     """BO + one-shot RF-based significant-parameter selection."""
 
     name = "Tuneful"
     capabilities = Capabilities(
         noer=YES, adaptive_space=PARTIAL, meta_learn=YES
     )
-    n_init = 3
-    sa_rounds = 10      # executions before sensitivity analysis
-    top_k = 10          # influential parameters kept after SA
-    n_candidates = 1000
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._dims: list[int] | None = None  # fixed after SA
-
-    def _sensitivity_dims(self) -> list[int]:
+    def _select_dims(self) -> list[int]:
         forest = RandomForestRegressor(n_estimators=16, max_depth=5, seed=self.seed)
         forest.fit(self.history.X_unit(), self.history.objectives())
         res = fanova_importance(
             forest, np.zeros(self.space.dim), np.ones(self.space.dim)
         )
         return list(res.ranking()[: self.top_k])
-
-    def suggest(self) -> dict:
-        it = len(self.history)
-        if it < self.n_init:
-            return self.space.sample_sobol(self.n_init, seed=self.seed)[it]
-        if it < self.sa_rounds:
-            return self.space.sample_random(1, self.rng)[0]
-        if self._dims is None:
-            self._dims = self._sensitivity_dims()
-        X = self.history.X_unit()
-        gp = GaussianProcess(self.space.cat_mask).fit(
-            X, self.history.penalized_objectives()
-        )
-        best = self.history.best()
-        base = best.config if best else self.space.default_config()
-        cands = self.space.sample_random(
-            self.n_candidates, self.rng, subspace=self._dims, base=base
-        )
-        U = np.array([self.space.to_unit(c) for c in cands])
-        mu, sd = gp.predict(U)
-        y_best = best.objective if best else float(np.min(self.history.objectives()))
-        acq = expected_improvement(mu, sd, y_best)
-        return cands[int(np.argmax(acq))]

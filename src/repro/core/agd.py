@@ -3,8 +3,9 @@
 Every ``N_AGD`` iterations the next configuration is produced not by
 the acquisition function but by one gradient step from the incumbent:
 
-- ``∂R/∂x`` is analytic (the resource function is white-box; see
-  :func:`repro.core.objective.resource_gradient`),
+- ``∂R/∂x`` comes from the exact white-box resource function
+  :func:`repro.core.objective.resource`, central-differenced through the
+  unit mapping (so it sees the same grid the configs are snapped to),
 - ``∂T/∂x`` is approximated by a central finite difference of the
   *runtime surrogate* (Eq. 10) — no extra job executions,
 - the generalized objective's partial derivative combines them via
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.bo import append_datasize
 from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
 from repro.core.objective import resource
@@ -54,9 +56,7 @@ class AGDStepper:
         dims = [i for i in (dims if dims is not None else range(self.space.dim)) if not cat[i]]
 
         def predict_T(uu: np.ndarray) -> float:
-            x = uu[None, :]
-            if datasize_feature is not None:
-                x = np.concatenate([x, [[datasize_feature]]], axis=1)
+            x = uu[None, :] if datasize_feature is None else append_datasize(uu[None, :], datasize_feature)
             mu, _ = runtime_gp.predict(x)
             # the generator's runtime GP is fit on log-runtime; Eq. 9/10
             # need T itself, so map back before differencing

@@ -1,9 +1,11 @@
-"""Run history and the vanilla BO loop (Algorithm 1).
+"""Run history of one tuning task.
 
 :class:`RunHistory` is the repository's per-task view: evaluated
 configurations, their execution results, objective values and
 feasibility. It vectorizes itself for surrogate fitting (optionally
 appending the datasize feature used by the mixed kernel, Eq. 4).
+Algorithm 1's suggest → evaluate → observe loop is
+:func:`repro.experiments.harness.run_tuning`.
 """
 from __future__ import annotations
 
@@ -19,6 +21,11 @@ from repro.core.objective import ExecResult, TuningProblem
 def datasize_feature(datasize_mb: float) -> float:
     """Log-compressed datasize input for the SE kernel factor (Eq. 4)."""
     return math.log10(max(datasize_mb, 1.0)) / 6.0
+
+
+def append_datasize(U: np.ndarray, datasize: float) -> np.ndarray:
+    """Rows ``U`` with the datasize feature ``datasize`` as a last column."""
+    return np.concatenate([U, np.full((len(U), 1), datasize)], axis=1)
 
 
 @dataclass
@@ -81,16 +88,3 @@ class RunHistory:
             y[~feas] = np.maximum(y[~feas], y[feas].max() * 1.5)
         return y
 
-
-def run_bo_loop(tuner, evaluate, budget: int) -> RunHistory:
-    """Algorithm 1: iterate suggest → online evaluation → observe.
-
-    ``tuner`` follows the Tuner protocol (suggest/observe/history);
-    ``evaluate(config, iteration) -> ExecResult`` is one periodic job
-    execution (in tests/benchmarks: the cluster simulator).
-    """
-    for it in range(budget):
-        config = tuner.suggest()
-        result = evaluate(config, it)
-        tuner.observe(config, result)
-    return tuner.history

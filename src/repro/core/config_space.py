@@ -9,7 +9,9 @@ A configuration is a ``dict`` name → value. For modelling, configs map
 to a unit-cube vector (numeric dims min-max- or log-scaled to [0,1];
 categoricals as ``index/(k-1)`` on a discrete grid) — the GP applies a
 Hamming kernel on the categorical dims and Matérn on the numeric ones,
-and trees treat categoricals ordinally.
+and trees treat categoricals ordinally. Candidate pools stay unit rows
+snapped onto the grid (``to_unit(from_unit(u))``, see
+:meth:`ConfigSpace.snap`); only the chosen row becomes a ``dict``.
 """
 from __future__ import annotations
 
@@ -25,7 +27,8 @@ class Param:
 
     ``kind`` is one of ``int`` / ``float`` / ``cat``; booleans are
     2-way categoricals. ``log`` scales the unit mapping logarithmically
-    (for wide integer ranges such as executor counts).
+    (for wide integer ranges such as executor counts; float params are
+    always linear).
     """
 
     name: str
@@ -111,9 +114,11 @@ class ConfigSpace:
 
     params: tuple[Param, ...] = SPARK_PARAMS
     _index: dict[str, int] = field(init=False)
+    _grids: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._index = {p.name: i for i, p in enumerate(self.params)}
+        self._grids = {}
 
     @property
     def dim(self) -> int:
@@ -143,36 +148,80 @@ class ConfigSpace:
         """Snap a config onto the space's grid/ranges."""
         return self.from_unit(self.to_unit(config))
 
+    # -- unit rows, many at a time ---------------------------------------
+
+    def _grid(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Values of int/cat param ``i`` and their unit values, built lazily
+        with the scalar :meth:`Param.to_unit` (``np.log`` and ``math.log``
+        disagree in the last ulp on some log-int values)."""
+        if i not in self._grids:
+            p = self.params[i]
+            values = p.choices if p.kind == "cat" else range(int(p.low), int(p.high) + 1)
+            self._grids[i] = np.array(values), np.array([p.to_unit(v) for v in values])
+        return self._grids[i]
+
+    def _decode(self, U: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Column ``i`` of :meth:`from_unit` over rows ``U``, and the unit
+        values of those values, bit-identical to the scalar codec."""
+        p = self.params[i]
+        u = np.clip(U[:, i], 0.0, 1.0)
+        if p.kind == "float":
+            v = p.low + u * (p.high - p.low)
+            return v, (v - p.low) / (p.high - p.low)
+        if p.kind == "cat":
+            k = np.rint(u * (p.n_choices - 1))
+        else:
+            lo, hi = (math.log(p.low), math.log(p.high)) if p.log else (p.low, p.high)
+            v = np.exp(lo + u * (hi - lo)) if p.log else lo + u * (hi - lo)
+            k = np.rint(v)
+            # np.exp and math.exp may differ in the last ulp; near a .5 tie
+            # that could flip the rounding, so those rows take the scalar path
+            tie = np.abs(v - np.floor(v) - 0.5) < 1e-6
+            k[tie] = [p.from_unit(x) for x in u[tie]]
+            k = np.clip(k, p.low, p.high) - p.low
+        values, units = self._grid(i)
+        k = k.astype(np.int64)
+        return values[k], units[k]
+
+    def snap(self, U: np.ndarray) -> np.ndarray:
+        """Rows ``to_unit(from_unit(u))``: each row of ``U`` on the grid."""
+        return np.column_stack([self._decode(U, i)[1] for i in range(self.dim)])
+
+    def columns(self, U: np.ndarray) -> dict[str, np.ndarray]:
+        """:meth:`from_unit` over rows ``U``, one array of values per param."""
+        return {p.name: self._decode(U, i)[0] for i, p in enumerate(self.params)}
+
+    def _rows(self, dims: list[int] | None, values: np.ndarray, base: dict | None) -> np.ndarray:
+        """Unit rows holding ``values`` in ``dims`` (all if None), ``base``
+        (default config if None) elsewhere."""
+        U = np.tile(self.to_unit(base or self.default_config()), (len(values), 1))
+        U[:, list(range(self.dim)) if dims is None else list(dims)] = values
+        return U
+
+    def sample_unit(
+        self, n: int, rng: np.random.Generator, *, subspace: list[int] | None = None,
+        base: dict | None = None,
+    ) -> np.ndarray:
+        """``n`` uniform snapped unit rows; if ``subspace`` given, only
+        those dims vary and the rest are pinned at ``base`` (default
+        config if None)."""
+        k = self.dim if subspace is None else len(subspace)
+        return self.snap(self._rows(subspace, rng.random((n, k)), base))
+
     def sample_random(
         self, n: int, rng: np.random.Generator, *, subspace: list[int] | None = None,
         base: dict | None = None,
     ) -> list[dict]:
-        """Uniform samples; if ``subspace`` given, only those dims vary
-        and the rest are pinned at ``base`` (default config if None)."""
-        u0 = self.to_unit(base or self.default_config())
-        out = []
-        for _ in range(n):
-            u = u0.copy()
-            dims = subspace if subspace is not None else range(self.dim)
-            for i in dims:
-                u[i] = rng.random()
-            out.append(self.from_unit(u))
-        return out
+        """:meth:`sample_unit`, decoded to configs."""
+        return [self.from_unit(u) for u in self.sample_unit(n, rng, subspace=subspace, base=base)]
 
     def sample_sobol(
         self, n: int, *, seed: int = 0, subspace: list[int] | None = None,
         base: dict | None = None,
     ) -> list[dict]:
         """Low-discrepancy initial design (§3.3 "Initial configurations")."""
-        dims = list(subspace) if subspace is not None else list(range(self.dim))
-        pts = sobol(n, len(dims), seed=seed)
-        u0 = self.to_unit(base or self.default_config())
-        out = []
-        for row in pts:
-            u = u0.copy()
-            u[dims] = row
-            out.append(self.from_unit(u))
-        return out
+        k = self.dim if subspace is None else len(subspace)
+        return [self.from_unit(u) for u in self._rows(subspace, sobol(n, k, seed=seed), base)]
 
 
 def hibench_space() -> ConfigSpace:

@@ -17,11 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import Capabilities, Tuner, YES
-from repro.core.bo import datasize_feature
+from repro.core.bo import append_datasize, datasize_feature
 from repro.core.config_space import ConfigSpace
 from repro.core.generator import ConfigGenerator
 from repro.core.meta import MetaLearner
-from repro.core.objective import ExecResult, TuningProblem
+from repro.core.objective import ExecResult, TuningProblem, resource
 
 
 class OnlineTuner(Tuner):
@@ -85,11 +85,7 @@ class OnlineTuner(Tuner):
         """White-box resource constraints are checkable *before* running
         a config — never launch an initial design point that provably
         violates them; scale the resource knobs down instead."""
-        from repro.core.objective import resource
-
-        thresholds = [
-            c.threshold for c in self.problem.constraints if c.metric == "resource"
-        ]
+        thresholds = self.problem.thresholds("resource")
         if not thresholds:
             return config
         rmax = min(thresholds)
@@ -138,16 +134,13 @@ class OnlineTuner(Tuner):
     # -- stopping & restarting (§3.3) ----------------------------------
 
     def _predict_objective(self, config: dict) -> float:
-        try:
-            gp_f, _ = self.generator._fit(self.history, self.generator.datasize_aware)
-            u = self.space.to_unit(config)[None, :]
-            if self.generator.datasize_aware:
-                ds = datasize_feature(self.history.observations[-1].result.datasize_mb)
-                u = np.concatenate([u, [[ds]]], axis=1)
-            mu, _ = gp_f.predict(u)
-            return float(mu[0])
-        except Exception:
-            return float("inf")
+        """``config``'s objective under the surrogate the generator fitted
+        for this suggest."""
+        u = self.space.to_unit(config)[None, :]
+        if self.generator.datasize_aware:
+            u = append_datasize(u, datasize_feature(self.history.observations[-1].result.datasize_mb))
+        mu, _ = self.generator.gp_f.predict(u)
+        return float(mu[0])
 
     def _check_stopping(self, obs) -> None:
         it = len(self.history)

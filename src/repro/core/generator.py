@@ -7,6 +7,11 @@ otherwise update the adaptive sub-space, intersect it with the safe
 region of every constraint (GP upper bound, Eq. 8; white-box resource
 constraints filtered analytically), and maximize EIC (Eq. 6) over the
 surviving candidates.
+
+Candidate pools are ``(n, d)`` arrays of snapped unit rows. :func:`propose`
+scores a pool for this generator and for the BO baselines (CherryPick,
+Tuneful, LOCAT), which use it with fewer pieces: EIC without a safe
+region, or plain EI.
 """
 from __future__ import annotations
 
@@ -16,11 +21,69 @@ import numpy as np
 
 from repro.core.acquisition import eic, safe_mask
 from repro.core.agd import AGDStepper, N_AGD
-from repro.core.bo import RunHistory, datasize_feature
+from repro.core.bo import RunHistory, append_datasize, datasize_feature
 from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
-from repro.core.objective import Constraint, TuningProblem, resource
+from repro.core.objective import TuningProblem, resource
 from repro.core.subspace import SubspaceManager
+
+GAMMA = 0.5          # safe-region bound multiplier (Eq. 8)
+N_CANDIDATES = 1200  # pool size per EIC iteration; 70% random, 30% local
+
+
+def fit_surrogates(history: RunHistory, with_ds: bool, meta_factory=None):
+    """Objective surrogate and log-runtime GP fitted on ``history``.
+
+    The objective surrogate is a GP on the penalized objectives, or the
+    Eq. 12 ensemble ``meta_factory`` builds around that GP (see core.meta).
+    """
+    X = history.X_unit(with_datasize=with_ds)
+    y = history.penalized_objectives()
+    gp_f = GaussianProcess(history.space.cat_mask, has_datasize=with_ds)
+    if meta_factory is not None:
+        gp_f = meta_factory(X, y, gp_f)
+    else:
+        gp_f.fit(X, y)
+    gp_t = GaussianProcess(history.space.cat_mask, has_datasize=with_ds)
+    # model log-runtime: positive, multiplicative noise, long tails
+    gp_t.fit(X, np.log(np.maximum(history.runtimes(), 1e-9)))
+    return gp_f, gp_t
+
+
+def propose(
+    U: np.ndarray,
+    gp_f,
+    y_best: float,
+    runtime: tuple[GaussianProcess, list[float]] | None = None,
+    gamma: float | None = None,
+) -> tuple[int, float]:
+    """Index of the pool row to run next, and its acquisition value.
+
+    ``U`` holds the surrogates' input rows. With ``runtime = (gp_t,
+    thresholds)`` — a log-runtime GP and runtime limits in seconds — EI
+    is weighted by the probability of meeting each limit (EIC, Eq. 6);
+    without it this is plain EI (Eq. 3). With ``gamma`` as well, only
+    rows inside the safe region (Eq. 8) compete; when no row is safe the
+    one with the lowest upper bound ``μ_t + γσ_t`` is returned with an
+    infinite acquisition value.
+    """
+    posteriors, safe = [], None
+    if runtime is not None and runtime[1]:
+        gp_t, thresholds = runtime
+        mu_t, sd_t = gp_t.predict(U)
+        posteriors = [(mu_t, sd_t, np.log(max(thr, 1e-9))) for thr in thresholds]
+        if gamma is not None:
+            safe = np.logical_and.reduce([safe_mask(*post, gamma) for post in posteriors])
+            if not safe.any():
+                # no provably-safe candidate: pick the most plausibly safe one
+                # (minimal constraint upper bound), as in SafeOpt-style search
+                return int(np.argmin(mu_t + gamma * sd_t)), float("inf")
+    mu_f, sd_f = gp_f.predict(U)
+    acq = eic(mu_f, sd_f, y_best, posteriors)
+    if safe is not None:
+        acq = np.where(safe, acq, -np.inf)
+    idx = int(np.argmax(acq))
+    return idx, float(acq[idx]) if np.isfinite(acq[idx]) else 0.0
 
 
 @dataclass
@@ -34,54 +97,37 @@ class ConfigGenerator:
     use_agd: bool = True
     use_safe: bool = True
     datasize_aware: bool = True
-    gamma: float = 0.5          # safe-region bound multiplier (Eq. 8)
-    n_candidates: int = 1200
     meta_surrogate_factory: object | None = None  # see core.meta
     subspace: SubspaceManager = field(init=False)
     last_ei: float = float("inf")  # inspected by the stopping criterion
+    gp_f: object | None = field(default=None, init=False)  # last fitted objective surrogate
     _rng: np.random.Generator = field(init=False)
 
     def __post_init__(self) -> None:
         self.subspace = SubspaceManager(self.space, seed=self.seed)
         self._rng = np.random.default_rng(self.seed)
 
-    # -- helpers -------------------------------------------------------
-
-    def _runtime_constraints(self) -> list[Constraint]:
-        return [c for c in self.problem.constraints if c.metric == "runtime"]
-
-    def _resource_constraints(self) -> list[Constraint]:
-        return [c for c in self.problem.constraints if c.metric == "resource"]
-
-    def _fit(self, history: RunHistory, with_ds: bool):
-        X = history.X_unit(with_datasize=with_ds)
-        y = history.penalized_objectives()
-        gp_f = GaussianProcess(self.space.cat_mask, has_datasize=with_ds)
-        if self.meta_surrogate_factory is not None:
-            gp_f = self.meta_surrogate_factory(X, y, gp_f)
-        else:
-            gp_f.fit(X, y)
-        gp_t = GaussianProcess(self.space.cat_mask, has_datasize=with_ds)
-        # model log-runtime: positive, multiplicative noise, long tails
-        gp_t.fit(X, np.log(np.maximum(history.runtimes(), 1e-9)))
-        return gp_f, gp_t
-
-    def _candidates(self, history: RunHistory) -> list[dict]:
-        """Random + local candidates inside the current sub-space."""
-        best = history.best()
-        base = best.config if best else self.space.default_config()
+    def _pool(self, history: RunHistory) -> np.ndarray:
+        """Random + local candidate rows inside the current sub-space,
+        minus observed configs and white-box resource violations."""
+        base = history.best().config
         dims = self.subspace.current_dims() if self.use_subspace else list(range(self.space.dim))
-        n_rand = int(self.n_candidates * 0.7)
-        cands = self.space.sample_random(n_rand, self._rng, subspace=dims, base=base)
+        n_rand = int(N_CANDIDATES * 0.7)
+        rand = self.space.sample_unit(n_rand, self._rng, subspace=dims, base=base)
         # local Gaussian perturbations of the incumbent (exploitation pool)
-        u0 = self.space.to_unit(base)
-        for _ in range(self.n_candidates - n_rand):
-            u = u0.copy()
-            for i in dims:
-                u[i] = float(np.clip(u[i] + self._rng.normal(0.0, 0.12), 0.0, 1.0))
-            cands.append(self.space.from_unit(u))
-        seen = {tuple(sorted(o.config.items())) for o in history.observations}
-        return [c for c in cands if tuple(sorted(c.items())) not in seen] or cands
+        local = np.tile(self.space.to_unit(base), (N_CANDIDATES - n_rand, 1))
+        local[:, dims] = np.clip(
+            local[:, dims] + self._rng.normal(0.0, 0.12, (len(local), len(dims))), 0.0, 1.0
+        )
+        U = np.concatenate([rand, self.space.snap(local)])
+        seen = (U[:, None, :] == history.X_unit()[None, :, :]).all(axis=2).any(axis=1)
+        if not seen.all():
+            U = U[~seen]
+        for limit in self.problem.thresholds("resource") if self.use_safe else []:
+            ok = resource(self.space.columns(U)) <= limit
+            if ok.any():
+                U = U[ok]
+        return U
 
     # -- Algorithm 2 ---------------------------------------------------
 
@@ -89,14 +135,14 @@ class ConfigGenerator:
         if len(history) == 0:
             return self.space.default_config()
         with_ds = self.datasize_aware
-        gp_f, gp_t = self._fit(history, with_ds)
+        self.gp_f, gp_t = fit_surrogates(history, with_ds, self.meta_surrogate_factory)
         it = len(history) + 1
         best = history.best()
 
         ds_feat = datasize_feature(history.observations[-1].result.datasize_mb)
         # AGD needs "observations sufficient to approximate f" (§4.3):
         # gate it on a minimum history besides the every-N_AGD cadence
-        if self.use_agd and it % N_AGD == 0 and it >= 2 * N_AGD and best is not None:
+        if self.use_agd and it % N_AGD == 0 and it >= 2 * N_AGD:
             stepper = AGDStepper(self.space, self.problem.beta)
             dims = self.subspace.current_dims() if self.use_subspace else None
             return stepper.step(
@@ -109,38 +155,13 @@ class ConfigGenerator:
             self.subspace.update_importance(
                 history.X_unit(), history.penalized_objectives()
             )
-        cands = self._candidates(history)
-        if self.use_safe:
-            # white-box resource constraints: filter analytically
-            for c in self._resource_constraints():
-                kept = [x for x in cands if resource(x) <= c.threshold]
-                cands = kept or cands
-        U = np.array([self.space.to_unit(c) for c in cands])
-        if with_ds:
-            U = np.concatenate([U, np.full((len(U), 1), ds_feat)], axis=1)
-
-        mu_t, sd_t = gp_t.predict(U)
-        posteriors = []
-        safe = np.ones(len(cands), dtype=bool)
+        U = self._pool(history)
         # use_safe=False is the paper's "vanilla BO" ablation: plain EI
         # with no constraint probability and no safe region
-        if self.use_safe:
-            for c in self._runtime_constraints():
-                log_thr = np.log(max(c.threshold, 1e-9))
-                posteriors.append((mu_t, sd_t, log_thr))
-                safe &= safe_mask(mu_t, sd_t, log_thr, self.gamma)
-        if self.use_safe and not safe.any() and posteriors:
-            # no provably-safe candidate: pick the most plausibly safe one
-            # (minimal constraint upper bound), as in SafeOpt-style search
-            idx = int(np.argmin(mu_t + self.gamma * sd_t))
-            self.last_ei = float("inf")
-            return cands[idx]
-
-        mu_f, sd_f = gp_f.predict(U)
-        y_best = float(best.objective) if best else float(np.min(history.objectives()))
-        acq = eic(mu_f, sd_f, y_best, posteriors)
-        if self.use_safe and posteriors:
-            acq = np.where(safe, acq, -np.inf)
-        idx = int(np.argmax(acq))
-        self.last_ei = float(acq[idx]) if np.isfinite(acq[idx]) else 0.0
-        return cands[idx]
+        idx, self.last_ei = propose(
+            append_datasize(U, ds_feat) if with_ds else U,
+            self.gp_f, best.objective,
+            runtime=(gp_t, self.problem.thresholds("runtime")) if self.use_safe else None,
+            gamma=GAMMA if self.use_safe else None,
+        )
+        return self.space.from_unit(U[idx])

@@ -75,8 +75,7 @@ def surrogate_distance(
     t1: SourceTask, t2: SourceTask, space: ConfigSpace, *, n_rand: int = 128, seed: int = 0
 ) -> float:
     """Dist(Mⁱ, Mʲ) via Kendall-tau on random shared configs (§5.1)."""
-    rng = np.random.default_rng(seed)
-    U = np.array([space.to_unit(c) for c in space.sample_random(n_rand, rng)])
+    U = space.sample_unit(n_rand, np.random.default_rng(seed))
     p1, _ = t1.surrogate.predict(U)
     p2, _ = t2.surrogate.predict(U)
     return rank_distance(kendall_tau(p1, p2))

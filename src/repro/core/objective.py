@@ -11,7 +11,7 @@ The paper minimizes ``f(x) = T(x)^beta * R(x)^(1-beta)`` subject to
 
 ``R(x)`` is white-box: the paper uses
 ``R(x) = #cpu_vcores(x) + c * #mem(x)`` computed directly from the
-resource parameters; its analytic gradient feeds AGD (Eq. 9).
+resource parameters; AGD (Eq. 9) differences it through the unit mapping.
 """
 from __future__ import annotations
 
@@ -43,37 +43,19 @@ def resource(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> float:
     """White-box resource function R(x): vcores + c * memory-GB.
 
     Counts executors (instances × cores, instances × memory) plus the
-    driver. Off-heap memory is charged when enabled.
+    driver. Off-heap memory is charged when enabled. ``config`` may also
+    map each name to an array of values (:meth:`ConfigSpace.columns`),
+    giving R of every row at once.
     """
     inst = config["spark.executor.instances"]
     cores = config["spark.executor.cores"]
-    mem = config["spark.executor.memory"]
-    mem += config["spark.executor.memoryOverhead"] / 1024.0
-    if config.get("spark.memory.offHeap.enabled"):
-        mem += config["spark.memory.offHeap.size"]
+    mem = config["spark.executor.memory"] + config["spark.executor.memoryOverhead"] / 1024.0
+    # size × flag, not a branch on the flag, so columns work too
+    off_heap = config.get("spark.memory.offHeap.size", 0) * config.get("spark.memory.offHeap.enabled", False)
+    mem = mem + off_heap
     vcores = inst * cores + config["spark.driver.cores"]
     mem_gb = inst * mem + config["spark.driver.memory"]
     return vcores + c * mem_gb
-
-
-def resource_gradient(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> dict[str, float]:
-    """Analytic ∂R/∂x for the resource-related parameters (others 0)."""
-    inst = config["spark.executor.instances"]
-    cores = config["spark.executor.cores"]
-    mem = config["spark.executor.memory"] + config["spark.executor.memoryOverhead"] / 1024.0
-    if config.get("spark.memory.offHeap.enabled"):
-        mem += config["spark.memory.offHeap.size"]
-    g = {
-        "spark.executor.instances": cores + c * mem,
-        "spark.executor.cores": inst,
-        "spark.executor.memory": c * inst,
-        "spark.executor.memoryOverhead": c * inst / 1024.0,
-        "spark.driver.cores": 1.0,
-        "spark.driver.memory": c,
-    }
-    if config.get("spark.memory.offHeap.enabled"):
-        g["spark.memory.offHeap.size"] = c * inst
-    return g
 
 
 def objective(runtime_s: float, config: dict, beta: float) -> float:
@@ -114,6 +96,10 @@ class TuningProblem:
 
     beta: float = 0.5
     constraints: tuple[Constraint, ...] = ()
+
+    def thresholds(self, metric: str) -> list[float]:
+        """Thresholds of the constraints on ``metric``, in order."""
+        return [c.threshold for c in self.constraints if c.metric == metric]
 
     def value(self, result: ExecResult, config: dict) -> float:
         return objective(result.runtime_s, config, self.beta)

@@ -20,7 +20,8 @@ import numpy as np
 from repro.core.config_space import hibench_space
 from repro.core.controller import OnlineTuner
 from repro.core.meta import MetaLearner, SourceTask
-from repro.experiments.harness import SimEvaluator, default_constraints, make_problem, run_tuning
+from repro.core.objective import TuningProblem
+from repro.experiments.harness import SimEvaluator, default_constraints, run_tuning
 from repro.simcluster import ClusterSimulator, get_profile
 from repro.simcluster.eventlog import meta_features
 
@@ -40,7 +41,7 @@ def _env():
 def _tune(space, sim, task, *, seed, budget, **tuner_kwargs):
     profile = get_profile(task)
     constraints = default_constraints(space, profile, sim, space.default_config())
-    problem = make_problem(0.5, constraints)
+    problem = TuningProblem(0.5, constraints)
     tuner = OnlineTuner(space, problem, seed=seed, use_meta=False, reference_config=space.default_config(), **tuner_kwargs)
     history = run_tuning(tuner, SimEvaluator(profile, sim, seed=seed), budget)
     return history
@@ -134,7 +135,7 @@ def subspace_fixed_small(space, sim, task, *, seed, budget):
     """Tuning restricted to a fixed 6-parameter space (no adaptation)."""
     profile = get_profile(task)
     constraints = default_constraints(space, profile, sim, space.default_config())
-    problem = make_problem(0.5, constraints)
+    problem = TuningProblem(0.5, constraints)
     tuner = OnlineTuner(space, problem, seed=seed, use_meta=False, reference_config=space.default_config())
     mgr = tuner.generator.subspace
     mgr.k = mgr.k_min = mgr.k_max = 6  # freeze the size
@@ -168,7 +169,7 @@ def meta_ensemble(
     for task in targets:
         profile = get_profile(task)
         constraints = default_constraints(space, profile, sim, space.default_config())
-        problem = make_problem(0.5, constraints)
+        problem = TuningProblem(0.5, constraints)
         probe = sim.run(profile, space.default_config(), seed=seed)
         target_meta = meta_features(probe)
         per = {}

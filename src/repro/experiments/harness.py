@@ -17,7 +17,7 @@ import numpy as np
 from repro.baselines.base import Tuner
 from repro.core.bo import RunHistory
 from repro.core.config_space import ConfigSpace
-from repro.core.objective import Constraint, ExecResult, TuningProblem
+from repro.core.objective import Constraint, ExecResult, resource
 from repro.simcluster.profile import WorkloadProfile
 from repro.simcluster.simulator import ClusterSimulator
 
@@ -64,8 +64,6 @@ def default_constraints(
 ) -> tuple[Constraint, ...]:
     """The paper's production setting: constraints are ``factor``× the
     metrics of the reference (manual/default) configuration."""
-    from repro.core.objective import resource
-
     ref = simulator.run(profile, reference, seed=123)
     return (
         Constraint("runtime", factor * ref.runtime_s),
@@ -83,9 +81,3 @@ def run_tuning(
         tuner.observe(config, result)
     return tuner.history
 
-
-def make_problem(
-    beta: float,
-    constraints: tuple[Constraint, ...] = (),
-) -> TuningProblem:
-    return TuningProblem(beta=beta, constraints=constraints)

@@ -20,8 +20,8 @@ from repro.baselines import (
 )
 from repro.core.config_space import hibench_space
 from repro.core.controller import OnlineTuner
-from repro.core.objective import execution_cost
-from repro.experiments.harness import SimEvaluator, default_constraints, make_problem, run_tuning
+from repro.core.objective import TuningProblem, execution_cost
+from repro.experiments.harness import SimEvaluator, default_constraints, run_tuning
 from repro.simcluster import ClusterSimulator, get_profile
 
 HIBENCH_TASKS = ("bayes", "kmeans", "nweight", "wordcount", "pagerank", "terasort")
@@ -62,7 +62,7 @@ def run(
         profile = get_profile(task)
         default = space.default_config()
         constraints = default_constraints(space, profile, sim, default)
-        problem = make_problem(beta, constraints)
+        problem = TuningProblem(beta, constraints)
         for method in methods:
             vals = []
             for seed in seeds:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
-from repro.core.objective import execution_cost
-from repro.experiments.harness import SimEvaluator, default_constraints, make_problem, run_tuning
+from repro.core.objective import TuningProblem, execution_cost
+from repro.experiments.harness import SimEvaluator, default_constraints, run_tuning
 from repro.simcluster import ClusterSimulator, get_profile
 
 #: (display name, profile, manual instances/cores/memory GB) — manual
@@ -68,7 +68,7 @@ def run(*, budget: int = 20, seed: int = 0) -> list[TaskRow]:
         profile = get_profile(prof_name)
         manual = _manual_config(space, inst, cores, mem)
         constraints = default_constraints(space, profile, sim, manual)
-        problem = make_problem(0.5, constraints)
+        problem = TuningProblem(0.5, constraints)
         ref = sim.run(profile, manual, seed=seed + 1)
         rows.append(
             TaskRow(

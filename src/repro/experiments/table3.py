@@ -19,7 +19,8 @@ import numpy as np
 
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
-from repro.experiments.harness import SimEvaluator, default_constraints, make_problem, run_tuning
+from repro.core.objective import TuningProblem
+from repro.experiments.harness import SimEvaluator, default_constraints, run_tuning
 from repro.simcluster import ClusterSimulator
 from repro.simcluster.profile import production_population
 
@@ -52,7 +53,7 @@ def run(*, n_tasks: int = 60, budget: int = 20, seed: int = 0) -> PopulationResu
     for ti, (profile, manual_over) in enumerate(population):
         manual = space.clip(space.default_config() | manual_over)
         constraints = default_constraints(space, profile, sim, manual)
-        problem = make_problem(0.5, constraints)
+        problem = TuningProblem(0.5, constraints)
         pre = sim.run(profile, manual, seed=seed + ti)
         tuner = OnlineTuner(space, problem, seed=seed + ti, use_meta=False, reference_config=manual)
         evaluator = SimEvaluator(profile, sim, seed=seed + ti)

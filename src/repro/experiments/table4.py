@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from repro.core.config_space import hibench_space
 from repro.core.controller import OnlineTuner
-from repro.core.objective import execution_cost
-from repro.experiments.harness import SimEvaluator, default_constraints, make_problem, run_tuning
+from repro.core.objective import TuningProblem, execution_cost
+from repro.experiments.harness import SimEvaluator, default_constraints, run_tuning
 from repro.simcluster import ClusterSimulator, get_profile
 
 #: (target, source) pairs as in the paper's Table 4 (LR ← PageRank,
@@ -86,7 +86,7 @@ def run(*, source_budget: int = 30, seed: int = 0) -> list[WarmStartRow]:
             profile = get_profile(source_name)
             default = space.default_config()
             constraints = default_constraints(space, profile, sim, default)
-            problem = make_problem(0.5, constraints)
+            problem = TuningProblem(0.5, constraints)
             tuner = OnlineTuner(space, problem, seed=seed, use_meta=False, reference_config=default)
             history = run_tuning(tuner, SimEvaluator(profile, sim, seed=seed), source_budget)
             ranked = sorted(

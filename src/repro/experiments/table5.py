@@ -50,8 +50,8 @@ def run(*, n_samples: int = 120, seed: int = 0, beta: float = 0.5) -> list[Impor
     per_task = []
     for task in HIBENCH_TASKS:
         profile = get_profile(task)
-        configs = space.sample_random(n_samples, rng)
-        X = np.array([space.to_unit(c) for c in configs])
+        X = space.sample_unit(n_samples, rng)
+        configs = [space.from_unit(u) for u in X]
         y = np.array([
             objective(sim.run(profile, c, seed=seed + i).runtime_s, c, beta)
             for i, c in enumerate(configs)

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.core.bo import RunHistory, datasize_feature, run_bo_loop
+from repro.core.bo import RunHistory, datasize_feature
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import Constraint, ExecResult, TuningProblem
+from repro.experiments.harness import run_tuning
 
 
 @pytest.fixture()
@@ -78,7 +79,7 @@ class TestDatasizeFeature:
 
 
 class TestLoop:
-    def test_run_bo_loop_budget(self):
+    def test_run_tuning_budget(self):
         space = ConfigSpace()
 
         class Dummy:
@@ -91,12 +92,14 @@ class TestLoop:
             def observe(self, config, result):
                 self.history.add(config, result)
 
-        tuner = Dummy()
-        calls = []
+        class Evaluator:
+            def __init__(self):
+                self.calls = []
 
-        def evaluate(config, it):
-            calls.append(it)
-            return _result(10)
+            def evaluate(self, config, it):
+                self.calls.append(it)
+                return _result(10)
 
-        h = run_bo_loop(tuner, evaluate, budget=7)
-        assert len(h) == 7 and calls == list(range(7))
+        evaluator = Evaluator()
+        h = run_tuning(Dummy(), evaluator, budget=7)
+        assert len(h) == 7 and evaluator.calls == list(range(7))

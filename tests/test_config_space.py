@@ -116,6 +116,57 @@ class TestSpace:
                     assert c[p.name] == base[p.name]
 
 
+@pytest.mark.parametrize("make_space", [ConfigSpace, hibench_space])
+class TestVectorCodec:
+    """snap/columns/sample_unit against the scalar Param codec, bit for bit."""
+
+    def test_every_grid_value(self, make_space):
+        # includes the log ints whose np.log unit value differs from math.log
+        sp = make_space()
+        for i, p in enumerate(sp.params):
+            if p.kind == "float":
+                continue
+            values = list(p.choices) if p.kind == "cat" else list(range(p.low, p.high + 1))
+            units = [p.to_unit(v) for v in values]
+            U = np.tile(sp.to_unit(sp.default_config()), (len(values), 1))
+            U[:, i] = units
+            assert sp.snap(U)[:, i].tolist() == units, p.name
+            assert sp.columns(U)[p.name].tolist() == values, p.name
+
+    def test_rounding_ties(self, make_space):
+        # rows a few ulps around each .5 tie in value space, where np.exp
+        # and math.exp can round to different grid values
+        sp = make_space()
+        for i, p in enumerate(sp.params):
+            if p.kind == "float":
+                continue
+            if p.kind == "cat":
+                t = (np.arange(p.n_choices - 1) + 0.5) / (p.n_choices - 1)
+            else:
+                f = np.log if p.log else (lambda v: v)
+                t = (f(np.arange(p.low, p.high) + 0.5) - f(p.low)) / (f(p.high) - f(p.low))
+            t = np.concatenate([t + d * np.spacing(t) for d in range(-8, 9)])
+            U = np.tile(sp.to_unit(sp.default_config()), (len(t), 1))
+            U[:, i] = t
+            assert sp.columns(U)[p.name].tolist() == [p.from_unit(u) for u in t], p.name
+
+    def test_random_rows(self, make_space):
+        sp = make_space()
+        U = np.random.default_rng(0).uniform(-0.1, 1.1, (2000, sp.dim))
+        assert np.array_equal(sp.snap(U), [sp.to_unit(sp.from_unit(u)) for u in U])
+        cols = sp.columns(U)
+        for k, u in enumerate(U[:200]):
+            assert {n: cols[n][k] for n in sp.names} == sp.from_unit(u)
+
+    def test_sample_unit_is_snapped_sample_random(self, make_space):
+        sp = make_space()
+        base = sp.default_config()
+        S = sp.sample_unit(50, np.random.default_rng(4), subspace=[0, 7, 14], base=base)
+        assert np.array_equal(sp.snap(S), S)
+        configs = sp.sample_random(50, np.random.default_rng(4), subspace=[0, 7, 14], base=base)
+        assert configs == [sp.from_unit(u) for u in S]
+
+
 class TestSobol:
     def test_shape_and_range(self):
         pts = sobol(64, 31)

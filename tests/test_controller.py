@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import YES
+from repro.core.bo import datasize_feature
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
+from repro.core.gp import GaussianProcess
 from repro.core.objective import Constraint, ExecResult, TuningProblem, resource
 
 
@@ -73,6 +75,22 @@ class TestObserve:
         t.observe(a, _result(100))
         t.observe(b, _result(10))
         assert t.best_config() == b
+
+
+class TestExpectation:
+    def test_one_fit_per_surrogate_per_suggest(self, space, monkeypatch):
+        # the restart expectation reuses the objective GP the generator fitted
+        t = OnlineTuner(space, TuningProblem(beta=0.5), seed=0, use_meta=False)
+        for rt in (100.0, 80.0, 120.0):
+            t.observe(t.suggest(), _result(rt))
+        fits = []
+        fit = GaussianProcess.fit
+        monkeypatch.setattr(GaussianProcess, "fit", lambda gp, X, y: fits.append(1) or fit(gp, X, y))
+        cfg = t.suggest()
+        assert len(fits) == 2
+        u = np.append(space.to_unit(cfg), datasize_feature(1000.0))[None, :]
+        predicted = float(t.generator.gp_f.predict(u)[0][0])
+        assert t._expected[3] == min(t.history.best().objective, predicted)
 
 
 class TestStopping:

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from repro.core.acquisition import expected_improvement
 from repro.core.agd import N_AGD
 from repro.core.bo import RunHistory
 from repro.core.config_space import ConfigSpace
-from repro.core.generator import ConfigGenerator
+from repro.core.generator import GAMMA, ConfigGenerator, propose
+from repro.core.gp import GaussianProcess
 from repro.core.objective import Constraint, ExecResult, TuningProblem, resource
 
 
@@ -108,3 +110,37 @@ class TestSuggest:
             i for i, p in enumerate(space.params) if cfg[p.name] != best[p.name]
         ]
         assert set(diffs) <= dims
+
+
+class _Fixed:
+    """A surrogate whose posterior over the pool is given."""
+
+    def __init__(self, mu, sd):
+        self.mu, self.sd = np.asarray(mu, float), np.asarray(sd, float)
+
+    def predict(self, U):
+        return self.mu, self.sd
+
+
+class TestPropose:
+    def test_unconstrained_is_argmax_ei(self, space):
+        rng = np.random.default_rng(0)
+        X, U = rng.random((12, space.dim)), space.sample_unit(300, rng)
+        y = X[:, 0] + 0.1 * rng.standard_normal(12)
+        gp = GaussianProcess(space.cat_mask).fit(X, y)
+        idx, value = propose(U, gp, float(y.min()))
+        ei = expected_improvement(*gp.predict(U), float(y.min()))
+        assert idx == int(np.argmax(ei)) and value == ei[idx]
+
+    def test_no_safe_row_falls_back_to_lowest_upper_bound(self):
+        mu_t, sd_t = np.log([300.0, 250.0, 400.0]), np.array([0.1, 0.9, 0.01])
+        runtime = (_Fixed(mu_t, sd_t), [100.0])  # every row's bound exceeds 100 s
+        idx, value = propose(np.zeros((3, 2)), _Fixed([1, 2, 3], [1, 1, 1]), 0.5, runtime, GAMMA)
+        assert idx == int(np.argmin(mu_t + GAMMA * sd_t)) and value == float("inf")
+
+    def test_safe_region_masks_higher_eic(self):
+        # row 0 has the best EI but lies outside the safe region
+        runtime = (_Fixed(np.log([90.0, 50.0, 60.0]), [0.5, 0.01, 0.01]), [100.0])
+        f = _Fixed([0.0, 5.0, 6.0], [1.0, 1.0, 1.0])
+        assert propose(np.zeros((3, 2)), f, 4.0, runtime)[0] == 0
+        assert propose(np.zeros((3, 2)), f, 4.0, runtime, GAMMA)[0] == 1

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import (
-    Constraint, ExecResult, TuningProblem, execution_cost, objective,
-    resource, resource_gradient,
+    Constraint, ExecResult, TuningProblem, execution_cost, objective, resource,
 )
 
 
@@ -36,17 +35,12 @@ class TestResource:
         big = dict(cfg, **{"spark.executor.instances": 50})
         assert resource(big) > resource(small)
 
-    def test_gradient_matches_finite_difference(self, cfg):
-        g = resource_gradient(cfg)
-        for name in ("spark.executor.instances", "spark.executor.cores", "spark.executor.memory"):
-            up = dict(cfg); up[name] = cfg[name] + 1
-            dn = dict(cfg); dn[name] = cfg[name] - 1
-            fd = (resource(up) - resource(dn)) / 2.0
-            assert g[name] == pytest.approx(fd)
-
-    def test_gradient_zero_for_nonresource(self, cfg):
-        g = resource_gradient(cfg)
-        assert "spark.memory.fraction" not in g
+    def test_columns_match_scalar(self):
+        # R over decoded pool columns equals R of each decoded row, bit for bit
+        space = ConfigSpace()
+        U = np.random.default_rng(0).random((500, space.dim))
+        expect = [resource(space.from_unit(u)) for u in U]
+        assert resource(space.columns(U)).tolist() == expect
 
 
 class TestObjective:
@@ -103,6 +97,13 @@ class TestConstraints:
         ok = ExecResult(runtime_s=40, mem_gbh=1, cpu_coreh=1)
         bad = ExecResult(runtime_s=60, mem_gbh=1, cpu_coreh=1)
         assert prob.feasible(ok, cfg) and not prob.feasible(bad, cfg)
+
+    def test_problem_thresholds(self):
+        prob = TuningProblem(constraints=(
+            Constraint("runtime", 50.0), Constraint("resource", 9.0), Constraint("runtime", 70.0),
+        ))
+        assert prob.thresholds("runtime") == [50.0, 70.0]
+        assert prob.thresholds("resource") == [9.0]
 
     def test_problem_value(self, cfg):
         prob = TuningProblem(beta=1.0)
