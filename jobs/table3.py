@@ -2,7 +2,7 @@
 production population; the paper's 25K tasks are substituted by a
 synthetic population — see DESIGN.md).
 
-Usage: ``python jobs/table3.py [--tasks 60] [--budget 20] [--seed 0]``.
+Usage: ``python jobs/table3.py [--tasks 40] [--budget 20] [--seed 0]``.
 """
 import argparse
 
@@ -10,7 +10,7 @@ from repro.experiments import table3
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
-    ap.add_argument("--tasks", type=int, default=60)
+    ap.add_argument("--tasks", type=int, default=40)
     ap.add_argument("--budget", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()

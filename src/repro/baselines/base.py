@@ -98,7 +98,7 @@ class OneShotSubspaceTuner(Tuner):
         )
         best = self.history.best()
         U = self.space.sample_unit(
-            self.n_candidates, self.rng, subspace=self._dims, base=best.config
+            self.n_candidates, self.rng, subspace=self._dims, base=best.unit
         )
         X = U
         if ds:

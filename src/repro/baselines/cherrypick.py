@@ -9,7 +9,7 @@ notes, "it cannot handle the large Spark search space well".
 """
 from __future__ import annotations
 
-from repro.baselines.base import NO, PARTIAL, YES, Capabilities, Tuner
+from repro.baselines.base import PARTIAL, YES, Capabilities, Tuner
 from repro.core.acquisition import eic  # noqa: F401  (benchmark tracer wraps this name)
 from repro.core.generator import fit_surrogates, propose
 

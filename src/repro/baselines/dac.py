@@ -29,9 +29,7 @@ class DACTuner(Tuner):
             return self.space.sample_random(1, self.rng)[0]
         X = self.history.X_unit(with_datasize=True)
         y = self.history.objectives()
-        model = GradientBoostedRegressor(
-            n_estimators=60, max_depth=4, learning_rate=0.1, seed=self.seed
-        ).fit(X, y)
+        model = GradientBoostedRegressor(n_estimators=60, max_depth=4, seed=self.seed).fit(X, y)
         ds = datasize_feature(self.history.observations[-1].result.datasize_mb)
 
         def fitness(U: np.ndarray) -> np.ndarray:

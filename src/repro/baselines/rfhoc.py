@@ -10,8 +10,6 @@ sufficient" for the ML-based approaches).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.base import Capabilities, Tuner
 from repro.baselines.ga import ga_minimize
 from repro.ml.forest import RandomForestRegressor

@@ -28,7 +28,10 @@ from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
 from repro.core.objective import resource
 
-N_AGD = 5  # every N_AGD-th iteration uses AGD instead of EIC (paper value)
+N_AGD = 5        # every N_AGD-th iteration uses AGD instead of EIC (paper value)
+ETA = 0.001      # paper's learning rate (raw objective scale)
+FD_EPS = 0.05    # finite-difference half-width in unit space
+MAX_STEP = 0.08  # unit-space norm clip per AGD move
 
 
 @dataclass
@@ -37,10 +40,6 @@ class AGDStepper:
 
     space: ConfigSpace
     beta: float
-    eta: float = 0.001          # paper's learning rate (raw objective scale)
-    fd_eps: float = 0.05        # finite-difference half-width in unit space
-    max_step: float = 0.08      # unit-space norm clip per AGD move
-    log_runtime: bool = True    # the runtime surrogate models log(T)
 
     def step(
         self,
@@ -60,7 +59,7 @@ class AGDStepper:
             mu, _ = runtime_gp.predict(x)
             # the generator's runtime GP is fit on log-runtime; Eq. 9/10
             # need T itself, so map back before differencing
-            return float(np.exp(mu[0])) if self.log_runtime else float(mu[0])
+            return float(np.exp(mu[0]))
 
         def R_of(uu: np.ndarray) -> float:
             return resource(self.space.from_unit(uu))
@@ -70,8 +69,8 @@ class AGDStepper:
         ratio = T0 / R0
         for i in dims:
             up, dn = u.copy(), u.copy()
-            up[i] = min(1.0, u[i] + self.fd_eps)
-            dn[i] = max(0.0, u[i] - self.fd_eps)
+            up[i] = min(1.0, u[i] + FD_EPS)
+            dn[i] = max(0.0, u[i] - FD_EPS)
             width = up[i] - dn[i]
             if width <= 0:
                 continue
@@ -82,10 +81,10 @@ class AGDStepper:
                 self.beta * ratio ** (self.beta - 1.0) * dT
                 + (1.0 - self.beta) * ratio**self.beta * dR
             )                                                   # Eq. 9
-        step = self.eta * grad
+        step = ETA * grad
         norm = float(np.linalg.norm(step))
-        if norm > self.max_step:
-            step *= self.max_step / norm
+        if norm > MAX_STEP:
+            step *= MAX_STEP / norm
         elif 0.0 < norm < 0.02:
             # η=0.001 on a well-scaled surrogate stalls in unit space;
             # take a short fixed-length step along the gradient instead

@@ -30,9 +30,14 @@ def append_datasize(U: np.ndarray, datasize: float) -> np.ndarray:
 
 @dataclass
 class Observation:
-    """One online evaluation: a config and what its execution reported."""
+    """One online evaluation: a config and what its execution reported.
+
+    ``unit`` is the config's unit row (:meth:`ConfigSpace.to_unit`),
+    encoded once when the observation is added.
+    """
 
     config: dict
+    unit: np.ndarray
     result: ExecResult
     objective: float
     feasible: bool
@@ -52,6 +57,7 @@ class RunHistory:
     def add(self, config: dict, result: ExecResult) -> Observation:
         obs = Observation(
             config=config,
+            unit=self.space.to_unit(config),
             result=result,
             objective=self.problem.value(result, config),
             feasible=self.problem.feasible(result, config),
@@ -59,15 +65,13 @@ class RunHistory:
         self.observations.append(obs)
         return obs
 
-    def best(self, *, feasible_only: bool = True) -> Observation | None:
+    def best(self) -> Observation | None:
         """Incumbent: lowest objective (feasible preferred)."""
-        cands = [o for o in self.observations if o.feasible] if feasible_only else []
-        if not cands:
-            cands = self.observations
+        cands = [o for o in self.observations if o.feasible] or self.observations
         return min(cands, key=lambda o: o.objective) if cands else None
 
     def X_unit(self, *, with_datasize: bool = False) -> np.ndarray:
-        X = np.array([self.space.to_unit(o.config) for o in self.observations])
+        X = np.array([o.unit for o in self.observations])
         if with_datasize:
             ds = np.array([[datasize_feature(o.result.datasize_mb)] for o in self.observations])
             X = np.concatenate([X, ds], axis=1)

@@ -191,37 +191,26 @@ class ConfigSpace:
         """:meth:`from_unit` over rows ``U``, one array of values per param."""
         return {p.name: self._decode(U, i)[0] for i, p in enumerate(self.params)}
 
-    def _rows(self, dims: list[int] | None, values: np.ndarray, base: dict | None) -> np.ndarray:
-        """Unit rows holding ``values`` in ``dims`` (all if None), ``base``
-        (default config if None) elsewhere."""
-        U = np.tile(self.to_unit(base or self.default_config()), (len(values), 1))
-        U[:, list(range(self.dim)) if dims is None else list(dims)] = values
-        return U
-
     def sample_unit(
         self, n: int, rng: np.random.Generator, *, subspace: list[int] | None = None,
-        base: dict | None = None,
+        base: np.ndarray | None = None,
     ) -> np.ndarray:
         """``n`` uniform snapped unit rows; if ``subspace`` given, only
-        those dims vary and the rest are pinned at ``base`` (default
-        config if None)."""
-        k = self.dim if subspace is None else len(subspace)
-        return self.snap(self._rows(subspace, rng.random((n, k)), base))
+        those dims vary and the rest are pinned at the unit row ``base``
+        (the default config's if None)."""
+        if subspace is None:
+            return self.snap(rng.random((n, self.dim)))
+        U = np.tile(self.to_unit(self.default_config()) if base is None else base, (n, 1))
+        U[:, list(subspace)] = rng.random((n, len(subspace)))
+        return self.snap(U)
 
-    def sample_random(
-        self, n: int, rng: np.random.Generator, *, subspace: list[int] | None = None,
-        base: dict | None = None,
-    ) -> list[dict]:
+    def sample_random(self, n: int, rng: np.random.Generator) -> list[dict]:
         """:meth:`sample_unit`, decoded to configs."""
-        return [self.from_unit(u) for u in self.sample_unit(n, rng, subspace=subspace, base=base)]
+        return [self.from_unit(u) for u in self.sample_unit(n, rng)]
 
-    def sample_sobol(
-        self, n: int, *, seed: int = 0, subspace: list[int] | None = None,
-        base: dict | None = None,
-    ) -> list[dict]:
+    def sample_sobol(self, n: int, *, seed: int = 0) -> list[dict]:
         """Low-discrepancy initial design (§3.3 "Initial configurations")."""
-        k = self.dim if subspace is None else len(subspace)
-        return [self.from_unit(u) for u in self._rows(subspace, sobol(n, k, seed=seed), base)]
+        return [self.from_unit(u) for u in sobol(n, self.dim, seed=seed)]
 
 
 def hibench_space() -> ConfigSpace:

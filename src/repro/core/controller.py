@@ -8,9 +8,8 @@ a threshold, or budget exhausted → keep serving the best-found config)
 and the restarting criterion (continuous degradation between expected
 and actual results → resume tuning).
 
-Ablation flags (``use_subspace`` / ``use_agd`` / ``use_safe`` /
-``datasize_aware``) switch the §4 techniques individually; the §6.5
-experiments use them.
+Ablation flags (``use_subspace`` / ``use_agd`` / ``use_safe``) switch
+the §4 techniques individually; the §6.5 experiments use them.
 """
 from __future__ import annotations
 
@@ -23,6 +22,13 @@ from repro.core.generator import ConfigGenerator
 from repro.core.meta import MetaLearner
 from repro.core.objective import ExecResult, TuningProblem, resource
 
+#: §3.3 stop: tuning stops once the last EI falls below EI_STOP_REL × 1%
+#: of the incumbent's objective, i.e. below 0.1% of it
+EI_STOP_REL = 0.10
+#: §3.3 restart: this many consecutive runs worse than 1.5× the expected
+#: objective resume tuning
+DEGRADATION_PATIENCE = 3
+
 
 class OnlineTuner(Tuner):
     """The paper's framework ("Ours" in every experiment)."""
@@ -32,6 +38,7 @@ class OnlineTuner(Tuner):
         general_obj=YES, constraints=YES, noer=YES,
         safety=YES, adaptive_space=YES, meta_learn=YES,
     )
+    n_init = 3  # initial design size
 
     def __init__(
         self,
@@ -39,22 +46,15 @@ class OnlineTuner(Tuner):
         problem: TuningProblem,
         *,
         seed: int = 0,
-        n_init: int = 3,
         use_subspace: bool = True,
         use_agd: bool = True,
         use_safe: bool = True,
         use_meta: bool = True,
-        datasize_aware: bool = True,
         meta_learner: MetaLearner | None = None,
         target_meta: np.ndarray | None = None,
         reference_config: dict | None = None,
-        ei_stop_rel: float = 0.10,
-        degradation_patience: int = 3,
     ):
         super().__init__(space, problem, seed=seed)
-        self.n_init = n_init
-        self.ei_stop_rel = ei_stop_rel
-        self.degradation_patience = degradation_patience
         self.stopped = False
         self._degradations = 0
         self._expected: dict[int, float] = {}  # iteration → predicted objective
@@ -64,20 +64,20 @@ class OnlineTuner(Tuner):
         self.generator = ConfigGenerator(
             space, problem, seed=seed,
             use_subspace=use_subspace, use_agd=use_agd, use_safe=use_safe,
-            datasize_aware=datasize_aware, meta_surrogate_factory=factory,
+            meta_surrogate_factory=factory,
         )
         if use_meta and meta_learner is not None and target_meta is not None:
-            self._init_configs = meta_learner.warm_start_configs(target_meta, k=n_init)
+            self._init_configs = meta_learner.warm_start_configs(target_meta, k=self.n_init)
         elif reference_config is not None:
             # online production setting: the pre-tuning (manual/default)
             # configuration is evaluated first — it is the known-safe
             # anchor the safe region grows from, then low-discrepancy
             # samples widen the design
             self._init_configs = [space.clip(reference_config)] + space.sample_sobol(
-                max(n_init - 1, 0), seed=seed
+                self.n_init - 1, seed=seed
             )
         else:
-            self._init_configs = space.sample_sobol(n_init, seed=seed)
+            self._init_configs = space.sample_sobol(self.n_init, seed=seed)
         if use_safe:
             self._init_configs = [self._repair(c) for c in self._init_configs]
 
@@ -137,9 +137,8 @@ class OnlineTuner(Tuner):
         """``config``'s objective under the surrogate the generator fitted
         for this suggest."""
         u = self.space.to_unit(config)[None, :]
-        if self.generator.datasize_aware:
-            u = append_datasize(u, datasize_feature(self.history.observations[-1].result.datasize_mb))
-        mu, _ = self.generator.gp_f.predict(u)
+        ds = datasize_feature(self.history.observations[-1].result.datasize_mb)
+        mu, _ = self.generator.gp_f.predict(append_datasize(u, ds))
         return float(mu[0])
 
     def _check_stopping(self, obs) -> None:
@@ -149,9 +148,9 @@ class OnlineTuner(Tuner):
         best = self.history.best()
         if best is None:
             return
-        # stop: expected improvement fell below 10% of the incumbent
+        # stop: expected improvement fell below 0.1% of the incumbent
         scale = abs(best.objective) or 1.0
-        if np.isfinite(self.generator.last_ei) and self.generator.last_ei < self.ei_stop_rel * scale * 0.01:
+        if np.isfinite(self.generator.last_ei) and self.generator.last_ei < EI_STOP_REL * scale * 0.01:
             self.stopped = True
         # restart: actual results keep degrading vs expectation
         expected = self._expected.get(it - 1)
@@ -159,6 +158,6 @@ class OnlineTuner(Tuner):
             self._degradations += 1
         else:
             self._degradations = 0
-        if self._degradations >= self.degradation_patience:
+        if self._degradations >= DEGRADATION_PATIENCE:
             self.stopped = False  # resume tuning (meta-knowledge retained)
             self._degradations = 0

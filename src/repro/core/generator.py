@@ -96,10 +96,9 @@ class ConfigGenerator:
     use_subspace: bool = True
     use_agd: bool = True
     use_safe: bool = True
-    datasize_aware: bool = True
     meta_surrogate_factory: object | None = None  # see core.meta
     subspace: SubspaceManager = field(init=False)
-    last_ei: float = float("inf")  # inspected by the stopping criterion
+    last_ei: float = field(default=float("inf"), init=False)  # inspected by the stopping criterion
     gp_f: object | None = field(default=None, init=False)  # last fitted objective surrogate
     _rng: np.random.Generator = field(init=False)
 
@@ -110,12 +109,12 @@ class ConfigGenerator:
     def _pool(self, history: RunHistory) -> np.ndarray:
         """Random + local candidate rows inside the current sub-space,
         minus observed configs and white-box resource violations."""
-        base = history.best().config
+        base = history.best().unit
         dims = self.subspace.current_dims() if self.use_subspace else list(range(self.space.dim))
         n_rand = int(N_CANDIDATES * 0.7)
         rand = self.space.sample_unit(n_rand, self._rng, subspace=dims, base=base)
         # local Gaussian perturbations of the incumbent (exploitation pool)
-        local = np.tile(self.space.to_unit(base), (N_CANDIDATES - n_rand, 1))
+        local = np.tile(base, (N_CANDIDATES - n_rand, 1))
         local[:, dims] = np.clip(
             local[:, dims] + self._rng.normal(0.0, 0.12, (len(local), len(dims))), 0.0, 1.0
         )
@@ -134,8 +133,7 @@ class ConfigGenerator:
     def suggest(self, history: RunHistory) -> dict:
         if len(history) == 0:
             return self.space.default_config()
-        with_ds = self.datasize_aware
-        self.gp_f, gp_t = fit_surrogates(history, with_ds, self.meta_surrogate_factory)
+        self.gp_f, gp_t = fit_surrogates(history, with_ds=True, meta_factory=self.meta_surrogate_factory)
         it = len(history) + 1
         best = history.best()
 
@@ -147,7 +145,7 @@ class ConfigGenerator:
             dims = self.subspace.current_dims() if self.use_subspace else None
             return stepper.step(
                 best.config, gp_t,
-                datasize_feature=ds_feat if with_ds else None,
+                datasize_feature=ds_feat,
                 dims=dims,
             )
 
@@ -159,7 +157,7 @@ class ConfigGenerator:
         # use_safe=False is the paper's "vanilla BO" ablation: plain EI
         # with no constraint probability and no safe region
         idx, self.last_ei = propose(
-            append_datasize(U, ds_feat) if with_ds else U,
+            append_datasize(U, ds_feat),
             self.gp_f, best.objective,
             runtime=(gp_t, self.problem.thresholds("runtime")) if self.use_safe else None,
             gamma=GAMMA if self.use_safe else None,

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _JITTER = 1e-8
+NOISE_GRID = (1e-4, 1e-3, 1e-2, 1e-1)  # white-noise variances tried by fit
+LS_GRID = (0.15, 0.3, 0.6, 1.2)        # numeric lengthscales, before dim scaling
 
 
 def _matern52(d: np.ndarray) -> np.ndarray:
@@ -38,14 +40,18 @@ class MixedKernel:
 
     ``cat_mask`` marks categorical dims of the config vector; the data
     size, if used, is the final column of the input matrix and is
-    handled by the SE factor.
+    handled by the SE factor, which shares the numeric lengthscale.
     """
 
     cat_mask: np.ndarray
     has_datasize: bool = False
-    lengthscale: float = 0.5
-    cat_decay: float = 0.5
-    ds_lengthscale: float = 0.5
+    lengthscale: float = field(default=0.5, init=False)
+    cat_decay: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        # pairwise Hamming distances grow with the categorical-dimension
+        # count, so the decay scales with it or every config pair is "far"
+        self.cat_decay = max(float(np.asarray(self.cat_mask).sum()) / 2.0, 0.5)
 
     def __call__(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         d = len(self.cat_mask)
@@ -59,7 +65,7 @@ class MixedKernel:
         if self.has_datasize:
             ds_a, ds_b = A[:, d:], B[:, d:]
             K = K * np.exp(
-                -_pairwise_sq(ds_a, ds_b) / (2.0 * max(self.ds_lengthscale, 1e-6) ** 2)
+                -_pairwise_sq(ds_a, ds_b) / (2.0 * max(self.lengthscale, 1e-6) ** 2)
             )
         return K
 
@@ -75,15 +81,13 @@ class GaussianProcess:
 
     cat_mask: np.ndarray
     has_datasize: bool = False
-    noise_grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
-    ls_grid: tuple[float, ...] = (0.15, 0.3, 0.6, 1.2)
-    _X: np.ndarray | None = None
-    _alpha: np.ndarray | None = None
-    _L: np.ndarray | None = None
-    _y_mean: float = 0.0
-    _y_std: float = 1.0
+    _X: np.ndarray | None = field(default=None, init=False)
+    _alpha: np.ndarray | None = field(default=None, init=False)
+    _L: np.ndarray | None = field(default=None, init=False)
+    _y_mean: float = field(default=0.0, init=False)
+    _y_std: float = field(default=1.0, init=False)
     kernel: MixedKernel = field(init=False)
-    noise: float = 1e-3
+    noise: float = field(default=1e-3, init=False)
 
     def __post_init__(self) -> None:
         self.kernel = MixedKernel(np.asarray(self.cat_mask, bool), self.has_datasize)
@@ -98,14 +102,11 @@ class GaussianProcess:
         # pairwise distances grow ~sqrt(d) in the unit cube, so the
         # candidate lengthscales must scale with dimensionality or a
         # high-d GP collapses to its prior mean between observations
+        # (the Hamming factor's decay scales the same way, see MixedKernel)
         dim_scale = max(np.sqrt((~np.asarray(self.cat_mask, bool)).sum() / 2.0), 1.0)
-        # same story for the Hamming factor: its decay must scale with
-        # the categorical-dimension count or every config pair is "far"
-        self.kernel.cat_decay = max(float(np.asarray(self.cat_mask).sum()) / 2.0, 0.5)
-        for ls in tuple(self.ls_grid) + tuple(g * dim_scale for g in self.ls_grid):
-            for nz in self.noise_grid:
+        for ls in LS_GRID + tuple(g * dim_scale for g in LS_GRID):
+            for nz in NOISE_GRID:
                 self.kernel.lengthscale = ls
-                self.kernel.ds_lengthscale = ls
                 K = self.kernel(X, X) + (nz + _JITTER) * np.eye(len(X))
                 try:
                     L = np.linalg.cholesky(K)
@@ -127,7 +128,6 @@ class GaussianProcess:
             best = (0.0, (ls, nz, L, a))
         ls, nz, L, a = best[1]
         self.kernel.lengthscale = ls
-        self.kernel.ds_lengthscale = ls
         self.noise = nz
         self._X, self._L, self._alpha = X, L, a
         return self

@@ -28,6 +28,9 @@ from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
 from repro.ml.gbm import GradientBoostedRegressor
 
+TOP_K_SOURCES = 3      # similar source tasks in the ensemble (paper value)
+N_SHARED_CONFIGS = 128  # random configs both surrogates rank in Dist
+
 
 def kendall_tau(a: np.ndarray, b: np.ndarray) -> float:
     """Kendall rank correlation of two score vectors (O(n²), ties → 0)."""
@@ -61,21 +64,19 @@ class SourceTask:
         self.surrogate = GaussianProcess(self.history.space.cat_mask)
         y = self.history.penalized_objectives()
         # standardize per-task so cross-task predictions are comparable
-        self._mu, self._sd = float(y.mean()), float(y.std()) or 1.0
-        self.surrogate.fit(self.history.X_unit(), (y - self._mu) / self._sd)
+        mu, sd = float(y.mean()), float(y.std()) or 1.0
+        self.surrogate.fit(self.history.X_unit(), (y - mu) / sd)
 
-    def best_config(self, rank: int = 0) -> dict:
-        order = sorted(
-            self.history.observations, key=lambda o: (not o.feasible, o.objective)
-        )
-        return order[min(rank, len(order) - 1)].config
+    def best_config(self) -> dict:
+        """Lowest-objective config, feasible ones first."""
+        return min(self.history.observations, key=lambda o: (not o.feasible, o.objective)).config
 
 
 def surrogate_distance(
-    t1: SourceTask, t2: SourceTask, space: ConfigSpace, *, n_rand: int = 128, seed: int = 0
+    t1: SourceTask, t2: SourceTask, space: ConfigSpace, *, seed: int = 0
 ) -> float:
     """Dist(Mⁱ, Mʲ) via Kendall-tau on random shared configs (§5.1)."""
-    U = space.sample_unit(n_rand, np.random.default_rng(seed))
+    U = space.sample_unit(N_SHARED_CONFIGS, np.random.default_rng(seed))
     p1, _ = t1.surrogate.predict(U)
     p2, _ = t2.surrogate.predict(U)
     return rank_distance(kendall_tau(p1, p2))
@@ -108,7 +109,7 @@ class MetaLearner:
         if len(y) < 2:
             raise ValueError("need at least two source tasks to learn similarity")
         self.model = GradientBoostedRegressor(
-            n_estimators=80, max_depth=3, learning_rate=0.1, seed=self.seed
+            n_estimators=80, max_depth=3, seed=self.seed
         ).fit(np.array(X), np.array(y))
         return self
 
@@ -143,9 +144,9 @@ class MetaLearner:
         """Initial design: best config of each of the top-k similar tasks."""
         return [t.best_config() for t, _ in self.rank_sources(target_meta)[:k]]
 
-    def ensemble_factory(self, target_meta: np.ndarray, *, top_k: int = 3):
+    def ensemble_factory(self, target_meta: np.ndarray):
         """A factory for :class:`ConfigGenerator.meta_surrogate_factory`."""
-        sources = self.rank_sources(target_meta)[:top_k]
+        sources = self.rank_sources(target_meta)[:TOP_K_SOURCES]
 
         def build(X: np.ndarray, y: np.ndarray, gp: GaussianProcess):
             gp.fit(X, y)

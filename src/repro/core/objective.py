@@ -39,8 +39,9 @@ class ExecResult:
     metrics: dict = field(default_factory=dict)
 
 
-def resource(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> float:
-    """White-box resource function R(x): vcores + c * memory-GB.
+def resource(config: dict) -> float:
+    """White-box resource function R(x): vcores + c * memory-GB, with
+    ``c = MEM_CORE_PRICE_RATIO``.
 
     Counts executors (instances × cores, instances × memory) plus the
     driver. Off-heap memory is charged when enabled. ``config`` may also
@@ -55,7 +56,7 @@ def resource(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> float:
     mem = mem + off_heap
     vcores = inst * cores + config["spark.driver.cores"]
     mem_gb = inst * mem + config["spark.driver.memory"]
-    return vcores + c * mem_gb
+    return vcores + MEM_CORE_PRICE_RATIO * mem_gb
 
 
 def objective(runtime_s: float, config: dict, beta: float) -> float:

@@ -1,13 +1,14 @@
 """Adaptive sub-space generation (§4.1).
 
 Parameter importance comes from fANOVA over a random forest fitted on
-the task's run history (single-parameter plus pairwise-interaction
-contributions). The sub-space is the top-K important parameters, and K
-evolves TuRBO-style: after ``tau_succ`` consecutive improvements over
-the incumbent the space grows (K ← min(K_max, K+2)); after ``tau_fail``
-consecutive failures it shrinks (K ← max(K_min, K−2)); counters reset
-on every size change. Before any history exists, an expert-provided
-ranking seeds the ordering (the paper starts from expert ranking too).
+the task's run history (single-parameter contributions only; pairwise
+interactions are not computed). The sub-space is the top-K important
+parameters, and K evolves TuRBO-style: after ``TAU_SUCC`` consecutive
+improvements over the incumbent the space grows (K ← min(K_max, K+2));
+after ``TAU_FAIL`` consecutive failures it shrinks (K ← max(K_min, K−2));
+counters reset on every size change. Before any history exists, an
+expert-provided ranking seeds the ordering (the paper starts from expert
+ranking too).
 """
 from __future__ import annotations
 
@@ -18,6 +19,13 @@ import numpy as np
 from repro.core.config_space import ConfigSpace
 from repro.ml.fanova import fanova_importance
 from repro.ml.forest import RandomForestRegressor
+
+K_INIT = 10       # initial sub-space size (paper value)
+K_MIN = 4         # smallest sub-space size (paper value)
+TAU_SUCC = 3      # consecutive successes that grow K (paper value)
+TAU_FAIL = 5      # consecutive failures that shrink K (paper value)
+REFIT_EVERY = 5   # N_space: refit importance every N observations
+MIN_HISTORY = 8   # observations needed before trusting fANOVA
 
 #: Expert prior ranking used before any tuning history exists — ordered
 #: like the paper's Table 5 experience (resource knobs first).
@@ -46,25 +54,18 @@ class SubspaceManager:
     """Maintains the current sub-space and its adaptive size K."""
 
     space: ConfigSpace
-    k_init: int = 10
-    k_min: int = 4
+    k_min: int = K_MIN
     k_max: int | None = None
-    tau_succ: int = 3
-    tau_fail: int = 5
-    refit_every: int = 5      # N_space: refit importance every N iterations
-    min_history: int = 8      # observations needed before trusting fANOVA
     seed: int = 0
     k: int = field(init=False)
-    _succ: int = 0
-    _fail: int = 0
+    _succ: int = field(default=0, init=False)
+    _fail: int = field(default=0, init=False)
     _ranking: list[int] = field(init=False)
-    _n_seen: int = 0
-    importance: np.ndarray | None = None
-    importance_std: np.ndarray | None = None
+    importance: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         self.k_max = self.k_max or self.space.dim
-        self.k = min(self.k_init, self.k_max)
+        self.k = min(K_INIT, self.k_max)
         known = [self.space.index_of(n) for n in EXPERT_RANKING if n in self.space.names]
         rest = [i for i in range(self.space.dim) if i not in known]
         self._ranking = known + rest
@@ -72,7 +73,7 @@ class SubspaceManager:
     # -- importance ----------------------------------------------------
 
     def update_importance(self, X_unit: np.ndarray, y: np.ndarray) -> None:
-        """Refit fANOVA on run history (called every ``refit_every`` obs).
+        """Refit fANOVA on run history (every ``REFIT_EVERY`` observations).
 
         The paper continuously *averages* importance scores as new
         history arrives; a single refit on a small, search-biased
@@ -80,8 +81,7 @@ class SubspaceManager:
         and anchored by a small expert-prior term — otherwise one bad
         refit can evict a critical parameter from the sub-space.
         """
-        self._n_seen = len(y)
-        if len(y) < self.min_history or len(y) % self.refit_every != 0:
+        if len(y) < MIN_HISTORY or len(y) % REFIT_EVERY != 0:
             return
         forest = RandomForestRegressor(
             n_estimators=16, max_depth=5, max_features=max(3, self.space.dim // 3),
@@ -94,7 +94,6 @@ class SubspaceManager:
             self.importance = res.single_mean
         else:
             self.importance = 0.5 * self.importance + 0.5 * res.single_mean
-        self.importance_std = res.single_std
         prior = np.zeros(self.space.dim)
         for r, name in enumerate(EXPERT_RANKING):
             if name in self.space.names:
@@ -110,10 +109,10 @@ class SubspaceManager:
             self._succ, self._fail = self._succ + 1, 0
         else:
             self._succ, self._fail = 0, self._fail + 1
-        if self._succ >= self.tau_succ:
+        if self._succ >= TAU_SUCC:
             self.k = min(self.k_max, self.k + 2)
             self._succ = self._fail = 0
-        elif self._fail >= self.tau_fail:
+        elif self._fail >= TAU_FAIL:
             self.k = max(self.k_min, self.k - 2)
             self._succ = self._fail = 0
 

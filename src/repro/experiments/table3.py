@@ -8,7 +8,7 @@ configuration applied thereafter), both relative to *pre-tuning*
 
 Substitution (DESIGN.md): the population is synthetic
 (:func:`repro.simcluster.profile.production_population`), default
-N=60 here (configurable) — the statistics are population averages, so
+N=40 here (configurable) — the statistics are population averages, so
 shape is carried by the family/size/manual-config mixture, not N.
 """
 from __future__ import annotations
@@ -43,7 +43,7 @@ class PopulationResult:
     objective_curve: np.ndarray         # mean best-objective reduction/iter
 
 
-def run(*, n_tasks: int = 60, budget: int = 20, seed: int = 0) -> PopulationResult:
+def run(*, n_tasks: int = 40, budget: int = 20, seed: int = 0) -> PopulationResult:
     space = ConfigSpace()
     sim = ClusterSimulator()
     population = production_population(n_tasks, seed=seed)

@@ -23,10 +23,9 @@ class RandomForestRegressor:
 
     n_estimators: int = 30
     max_depth: int = 12
-    min_samples_leaf: int = 1
     max_features: int | None = None
     seed: int = 0
-    trees: list[RegressionTree] = field(default_factory=list)
+    trees: list[RegressionTree] = field(default_factory=list, init=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -39,7 +38,6 @@ class RandomForestRegressor:
             idx = rng.integers(0, n, size=n)
             t = RegressionTree(
                 max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
                 max_features=mf,
                 rng=np.random.default_rng(rng.integers(2**31)),
             )

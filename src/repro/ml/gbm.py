@@ -13,19 +13,19 @@ import numpy as np
 
 from repro.ml.tree import RegressionTree
 
+LEARNING_RATE = 0.1    # shrinkage applied to every stage
+MIN_SAMPLES_LEAF = 2   # rows per leaf of each stage's tree
+
 
 @dataclass
 class GradientBoostedRegressor:
     """L2 gradient boosting: each stage fits residuals with a shallow tree."""
 
     n_estimators: int = 100
-    learning_rate: float = 0.1
     max_depth: int = 3
-    min_samples_leaf: int = 2
-    subsample: float = 1.0
     seed: int = 0
-    _init: float = 0.0
-    _trees: list[RegressionTree] = field(default_factory=list)
+    _init: float = field(default=0.0, init=False)
+    _trees: list[RegressionTree] = field(default_factory=list, init=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -34,20 +34,14 @@ class GradientBoostedRegressor:
         self._init = float(y.mean())
         pred = np.full(len(y), self._init)
         self._trees = []
-        n = len(y)
         for _ in range(self.n_estimators):
-            resid = y - pred
-            if self.subsample < 1.0:
-                idx = rng.choice(n, size=max(2, int(n * self.subsample)), replace=False)
-            else:
-                idx = np.arange(n)
             t = RegressionTree(
                 max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
+                min_samples_leaf=MIN_SAMPLES_LEAF,
                 rng=np.random.default_rng(rng.integers(2**31)),
             )
-            t.fit(X[idx], resid[idx])
-            pred += self.learning_rate * t.predict(X)
+            t.fit(X, y - pred)
+            pred += LEARNING_RATE * t.predict(X)
             self._trees.append(t)
         return self
 
@@ -57,5 +51,5 @@ class GradientBoostedRegressor:
         X = np.asarray(X, dtype=np.float64)
         out = np.full(len(X), self._init)
         for t in self._trees:
-            out += self.learning_rate * t.predict(X)
+            out += LEARNING_RATE * t.predict(X)
         return out

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MIN_SAMPLES_SPLIT = 2  # a node with fewer rows becomes a leaf
+
 
 @dataclass
 class _Node:
@@ -48,19 +50,16 @@ class RegressionTree:
     """
 
     max_depth: int = 12
-    min_samples_split: int = 2
     min_samples_leaf: int = 1
     max_features: int | None = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
-    _root: _Node | None = None
-    _n_features: int = 0
+    _root: _Node | None = field(default=None, init=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
             raise ValueError("X must be 2-D and aligned with non-empty y")
-        self._n_features = X.shape[1]
         self._root = self._build(X, y, depth=0)
         return self
 
@@ -109,7 +108,7 @@ class RegressionTree:
         node = _Node(value=float(y.mean()))
         if (
             depth >= self.max_depth
-            or len(y) < self.min_samples_split
+            or len(y) < MIN_SAMPLES_SPLIT
             or np.ptp(y) == 0.0
         ):
             return node

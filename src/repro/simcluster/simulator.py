@@ -43,6 +43,7 @@ OOM_RATIO = 8.0                # working-set / execution-memory ratio → OOM
 TASK_LAUNCH_S = 0.03
 MIN_TASK_S = 0.05
 WAVE_OVERHEAD_S = 0.15
+NOISE_SIGMA = 0.03             # lognormal sigma of the runtime noise
 
 
 @dataclass
@@ -52,7 +53,6 @@ class ClusterSimulator:
 
     capacity_cores: int = 2000
     capacity_mem_gb: float = 5000.0
-    noise_sigma: float = 0.03
 
     # -- public API ----------------------------------------------------
 
@@ -68,7 +68,7 @@ class ClusterSimulator:
         ds = float(datasize_mb if datasize_mb is not None else profile.base_datasize_mb)
         runtime, feasible, stage_metrics = self._runtime(profile, config, ds)
         rng = np.random.default_rng(seed)
-        runtime *= float(rng.lognormal(0.0, self.noise_sigma))
+        runtime *= float(rng.lognormal(0.0, NOISE_SIGMA))
         inst, cores, mem_gb = self._allocation(config)
         hours = runtime / 3600.0
         drv_cores = config["spark.driver.cores"]

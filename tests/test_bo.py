@@ -57,6 +57,15 @@ class TestRunHistory:
         assert history.X_unit().shape == (2, 30)
         assert history.X_unit(with_datasize=True).shape == (2, 31)
 
+    def test_unit_rows_encoded_once(self, history, monkeypatch):
+        space = history.space
+        configs = space.sample_random(3, np.random.default_rng(0))
+        for c in configs:
+            history.add(c, _result(10))
+        assert np.array_equal(history.X_unit(), [space.to_unit(c) for c in configs])
+        monkeypatch.setattr(ConfigSpace, "to_unit", lambda *a: pytest.fail("re-encoded"))
+        history.X_unit(with_datasize=True)
+
     def test_penalized_objectives(self, history):
         cfg = history.space.default_config()
         history.add(cfg, _result(10))

@@ -72,22 +72,23 @@ class TestSpace:
         assert mask[space.index_of("spark.serializer")]
         assert not mask[space.index_of("spark.executor.instances")]
 
-    def test_sample_random_respects_subspace(self, space):
+    def test_sample_unit_respects_subspace(self, space):
         rng = np.random.default_rng(0)
-        base = space.default_config()
+        base = space.to_unit(space.clip(space.default_config() | {"spark.executor.instances": 42}))
         dims = [0, 2]
-        for c in space.sample_random(10, rng, subspace=dims, base=base):
-            for i, p in enumerate(space.params):
-                if i not in dims:
-                    assert c[p.name] == base[p.name]
+        U = space.sample_unit(10, rng, subspace=dims, base=base)
+        rest = [i for i in range(space.dim) if i not in dims]
+        assert np.array_equal(U[:, rest], np.tile(base[rest], (10, 1)))
 
-    def test_sample_random_varies_subspace(self, space):
+    def test_sample_unit_base_defaults_to_default_config(self, space):
+        U = space.sample_unit(5, np.random.default_rng(0), subspace=[1, 3])
+        default = space.to_unit(space.default_config())
+        assert np.array_equal(U[:, 0], np.full(5, default[0]))
+
+    def test_sample_unit_varies_subspace(self, space):
         rng = np.random.default_rng(0)
-        vals = {
-            c["spark.executor.instances"]
-            for c in space.sample_random(20, rng, subspace=[0])
-        }
-        assert len(vals) > 3
+        U = space.sample_unit(20, rng, subspace=[0])
+        assert len(set(U[:, 0])) > 3
 
     def test_clip_snaps_to_grid(self, space):
         cfg = space.default_config() | {"spark.executor.instances": 12345}
@@ -106,14 +107,6 @@ class TestSpace:
         for c in space.sample_sobol(8, seed=1):
             u = space.to_unit(c)
             assert np.all((u >= 0) & (u <= 1))
-
-    def test_sample_sobol_subspace_pins_rest(self, space):
-        base = space.default_config()
-        dims = [1, 3]
-        for c in space.sample_sobol(6, seed=0, subspace=dims, base=base):
-            for i, p in enumerate(space.params):
-                if i not in dims:
-                    assert c[p.name] == base[p.name]
 
 
 @pytest.mark.parametrize("make_space", [ConfigSpace, hibench_space])
@@ -160,11 +153,13 @@ class TestVectorCodec:
 
     def test_sample_unit_is_snapped_sample_random(self, make_space):
         sp = make_space()
-        base = sp.default_config()
+        S = sp.sample_unit(50, np.random.default_rng(4))
+        assert np.array_equal(sp.snap(S), S)
+        configs = sp.sample_random(50, np.random.default_rng(4))
+        assert configs == [sp.from_unit(u) for u in S]
+        base = sp.to_unit(sp.default_config())
         S = sp.sample_unit(50, np.random.default_rng(4), subspace=[0, 7, 14], base=base)
         assert np.array_equal(sp.snap(S), S)
-        configs = sp.sample_random(50, np.random.default_rng(4), subspace=[0, 7, 14], base=base)
-        assert configs == [sp.from_unit(u) for u in S]
 
 
 class TestSobol:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import YES
+from repro.core import controller
 from repro.core.bo import datasize_feature
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
@@ -101,9 +102,9 @@ class TestStopping:
         t.stopped = True
         assert t.suggest() == cfg
 
-    def test_restart_on_degradation(self, space):
-        t = OnlineTuner(space, TuningProblem(beta=1.0), seed=0, use_meta=False,
-                        degradation_patience=2)
+    def test_restart_on_degradation(self, space, monkeypatch):
+        monkeypatch.setattr(controller, "DEGRADATION_PATIENCE", 2)
+        t = OnlineTuner(space, TuningProblem(beta=1.0), seed=0, use_meta=False)
         t.stopped = False
         t._degradations = 0
         cfg = space.default_config()

@@ -39,11 +39,6 @@ class TestGBM:
         p2 = GradientBoostedRegressor(n_estimators=20, seed=4).fit(X, y).predict(X)
         assert np.array_equal(p1, p2)
 
-    def test_subsample(self):
-        X, y = _wave(150)
-        m = GradientBoostedRegressor(n_estimators=30, subsample=0.6, seed=0).fit(X, y)
-        assert np.mean((m.predict(X) - y) ** 2) < 0.1
-
     def test_constant_target(self):
         X = np.random.default_rng(0).random((40, 2))
         m = GradientBoostedRegressor(n_estimators=10, seed=0).fit(X, np.full(40, 2.5))

@@ -2,8 +2,13 @@
 import numpy as np
 import pytest
 
+from repro.core import subspace
+from repro.core.agd import ETA, N_AGD
 from repro.core.config_space import ConfigSpace
-from repro.core.subspace import EXPERT_RANKING, SubspaceManager
+from repro.core.generator import GAMMA
+from repro.core.subspace import (
+    EXPERT_RANKING, K_INIT, K_MIN, TAU_FAIL, TAU_SUCC, SubspaceManager,
+)
 
 
 @pytest.fixture()
@@ -13,8 +18,10 @@ def mgr():
 
 class TestInitialState:
     def test_paper_hyperparameters(self, mgr):
-        assert mgr.k == 10 and mgr.k_min == 4
-        assert mgr.tau_succ == 3 and mgr.tau_fail == 5
+        # §4.1 sub-space, §4.3 AGD, Eq. 8 safe region
+        assert (K_INIT, K_MIN, TAU_SUCC, TAU_FAIL) == (10, 4, 3, 5)
+        assert (N_AGD, ETA, GAMMA) == (5, 0.001, 0.5)
+        assert mgr.k == K_INIT and mgr.k_min == K_MIN
         assert mgr.k_max == 30
 
     def test_expert_ranking_first(self, mgr):
@@ -56,8 +63,10 @@ class TestEvolution:
         mgr.record(True)
         assert mgr.k == 10
 
-    def test_k_bounds(self):
-        m = SubspaceManager(ConfigSpace(), k_init=4, seed=0)
+    def test_k_bounds(self, monkeypatch):
+        monkeypatch.setattr(subspace, "K_INIT", 4)
+        m = SubspaceManager(ConfigSpace(), seed=0)
+        assert m.k == 4
         for _ in range(50):
             m.record(False)
         assert m.k == m.k_min
@@ -69,7 +78,7 @@ class TestEvolution:
 class TestImportanceRefit:
     def test_refit_reranks_dimensions(self):
         space = ConfigSpace()
-        m = SubspaceManager(space, min_history=8, refit_every=5, seed=0)
+        m = SubspaceManager(space, seed=0)
         rng = np.random.default_rng(0)
         X = rng.random((20, space.dim))
         target_dim = space.index_of("spark.locality.wait")  # low in expert ranking
@@ -80,14 +89,14 @@ class TestImportanceRefit:
 
     def test_no_refit_below_min_history(self):
         space = ConfigSpace()
-        m = SubspaceManager(space, min_history=8, seed=0)
+        m = SubspaceManager(space, seed=0)
         X = np.random.default_rng(0).random((5, space.dim))
         m.update_importance(X, X[:, 0])
         assert m.importance is None
 
     def test_refit_only_on_period(self):
         space = ConfigSpace()
-        m = SubspaceManager(space, min_history=8, refit_every=5, seed=0)
+        m = SubspaceManager(space, seed=0)
         X = np.random.default_rng(0).random((11, space.dim))
         m.update_importance(X, X[:, 0])  # 11 % 5 != 0 → skipped
         assert m.importance is None
