@@ -6,10 +6,20 @@ categorical parameters, and a squared-exponential over the (log) data
 size appended as an extra input — this is how dynamic workloads are
 supported online. Inputs live in the unit cube (see
 :class:`repro.core.config_space.ConfigSpace`); targets are standardized
-internally. Hyperparameters (amplitude, shared numeric lengthscale,
-categorical decay, noise) are fit by grid-maximizing the exact log
-marginal likelihood — observation counts are tiny online (≤ tens), so
-a coarse grid is both robust and fast, and needs no scipy.
+internally. Two hyperparameters, the shared numeric lengthscale and the
+white-noise variance, are fit by grid-maximizing the exact log marginal
+likelihood — observation counts are tiny online (≤ tens), so a coarse
+grid is both robust and fast, and needs no scipy. The categorical decay
+is not fitted: :class:`MixedKernel` fixes it from the number of
+categorical dims.
+
+The kernel has no amplitude and each factor is 1 at zero distance, so
+the prior variance k(x, x) is 1 for every input. ``predict`` uses that
+constant (Rasmussen & Williams, *GPML*, Alg. 2.1) rather than the
+kernel of the query rows with themselves, so m query rows cost O(m·n)
+kernel entries for n observations. ``fit`` computes the
+lengthscale-independent kernel factors once and each lengthscale's
+Gram matrix once for all noise values.
 """
 from __future__ import annotations
 
@@ -53,21 +63,36 @@ class MixedKernel:
         # count, so the decay scales with it or every config pair is "far"
         self.cat_decay = max(float(np.asarray(self.cat_mask).sum()) / 2.0, 0.5)
 
-    def __call__(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def factors(self, A: np.ndarray, B: np.ndarray) -> tuple:
+        """The lengthscale-independent parts of ``self(A, B)``: numeric
+        distances, the Hamming factor (or None) and data-size squared
+        distances (or None)."""
         d = len(self.cat_mask)
         num = ~self.cat_mask
         An, Bn = A[:, :d][:, num], B[:, :d][:, num]
-        K = _matern52(np.sqrt(_pairwise_sq(An, Bn)) / max(self.lengthscale, 1e-6))
+        dist = np.sqrt(_pairwise_sq(An, Bn))
+        ham = sq_ds = None
         if self.cat_mask.any():
             Ac, Bc = A[:, :d][:, self.cat_mask], B[:, :d][:, self.cat_mask]
             mism = (np.abs(Ac[:, None, :] - Bc[None, :, :]) > 1e-9).sum(axis=2)
-            K = K * np.exp(-mism / max(self.cat_decay, 1e-6))
+            ham = np.exp(-mism / max(self.cat_decay, 1e-6))
         if self.has_datasize:
-            ds_a, ds_b = A[:, d:], B[:, d:]
-            K = K * np.exp(
-                -_pairwise_sq(ds_a, ds_b) / (2.0 * max(self.lengthscale, 1e-6) ** 2)
-            )
+            sq_ds = _pairwise_sq(A[:, d:], B[:, d:])
+        return dist, ham, sq_ds
+
+    def gram(self, factors: tuple) -> np.ndarray:
+        """The kernel matrix from :meth:`factors` at the current lengthscale."""
+        dist, ham, sq_ds = factors
+        ls = max(self.lengthscale, 1e-6)
+        K = _matern52(dist / ls)
+        if ham is not None:
+            K = K * ham
+        if sq_ds is not None:
+            K = K * np.exp(-sq_ds / (2.0 * ls**2))
         return K
+
+    def __call__(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return self.gram(self.factors(A, B))
 
 
 @dataclass
@@ -98,6 +123,8 @@ class GaussianProcess:
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
         z = (y - self._y_mean) / self._y_std
+        n = len(X)
+        factors = self.kernel.factors(X, X)
         best = (-np.inf, None)
         # pairwise distances grow ~sqrt(d) in the unit cube, so the
         # candidate lengthscales must scale with dimensionality or a
@@ -105,9 +132,10 @@ class GaussianProcess:
         # (the Hamming factor's decay scales the same way, see MixedKernel)
         dim_scale = max(np.sqrt((~np.asarray(self.cat_mask, bool)).sum() / 2.0), 1.0)
         for ls in LS_GRID + tuple(g * dim_scale for g in LS_GRID):
+            self.kernel.lengthscale = ls
+            K_ls = self.kernel.gram(factors)
             for nz in NOISE_GRID:
-                self.kernel.lengthscale = ls
-                K = self.kernel(X, X) + (nz + _JITTER) * np.eye(len(X))
+                K = K_ls + (nz + _JITTER) * np.eye(n)
                 try:
                     L = np.linalg.cholesky(K)
                 except np.linalg.LinAlgError:
@@ -116,14 +144,14 @@ class GaussianProcess:
                 lml = (
                     -0.5 * z @ a
                     - np.log(np.diag(L)).sum()
-                    - 0.5 * len(X) * np.log(2 * np.pi)
+                    - 0.5 * n * np.log(2 * np.pi)
                 )
                 if lml > best[0]:
                     best = (lml, (ls, nz, L, a))
         if best[1] is None:  # pathological: fall back to heavy noise
             ls, nz = 0.5, 1.0
-            K = self.kernel(X, X) + (nz + _JITTER) * np.eye(len(X))
-            L = np.linalg.cholesky(K)
+            self.kernel.lengthscale = ls
+            L = np.linalg.cholesky(self.kernel.gram(factors) + (nz + _JITTER) * np.eye(n))
             a = np.linalg.solve(L.T, np.linalg.solve(L, z))
             best = (0.0, (ls, nz, L, a))
         ls, nz, L, a = best[1]
@@ -139,7 +167,8 @@ class GaussianProcess:
         Ks = self.kernel(X, self._X)
         mu = Ks @ self._alpha
         v = np.linalg.solve(self._L, Ks.T)
-        var = np.clip(self.kernel(X, X).diagonal() + self.noise - (v**2).sum(0), 1e-12, None)
+        # the prior variance k(x, x) is 1 for every row (module docstring)
+        var = np.clip(1.0 + self.noise - (v**2).sum(0), 1e-12, None)
         return (
             mu * self._y_std + self._y_mean,
             np.sqrt(var) * self._y_std,

@@ -155,44 +155,46 @@ class MetaLearner:
                 current=gp,
                 config_dim=self.space.dim,
                 y_scale=(float(y.mean()), float(y.std()) or 1.0),
-                train_X=np.atleast_2d(np.asarray(X, dtype=np.float64)),
-                train_y=np.asarray(y, dtype=np.float64),
+                current_weight=cv_weight(gp, X, y),
             )
 
         return build
+
+
+def cv_weight(gp: GaussianProcess, X: np.ndarray, y: np.ndarray) -> float:
+    """Cross-validation weight for the current-task GP fitted on ``X``,
+    ``y``: rank agreement between its predictions and the observed
+    targets. With scarce data the current model gets little say and the
+    source ensemble dominates — exactly the paper's cold-start fix."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    if len(X) < 4:
+        return 0.3
+    mu, _ = gp.predict(X)
+    if np.ptp(y) == 0 or np.ptp(mu) == 0:
+        return 0.3
+    tau = kendall_tau(mu, y)
+    return float(np.clip((1.0 + tau) / 2.0, 0.1, 1.0))
 
 
 @dataclass
 class MetaEnsembleSurrogate:
     """Weighted GP ensemble, Eq. 12. Source surrogates predict in their
     standardized units; predictions are mapped into the current task's
-    objective scale before mixing."""
+    objective scale before mixing. ``current_weight`` is the current-task
+    GP's weight (see :func:`cv_weight`)."""
 
     sources: list[tuple[SourceTask, float]]
     current: GaussianProcess
     config_dim: int
     y_scale: tuple[float, float]
-    train_X: np.ndarray | None = None
-    train_y: np.ndarray | None = None
-
-    def _current_weight(self) -> float:
-        """Cross-validation weight for the current-task GP: rank
-        agreement between its predictions and the observed targets.
-        With scarce data the current model gets little say and the
-        source ensemble dominates — exactly the paper's cold-start fix."""
-        if self.train_X is None or len(self.train_X) < 4:
-            return 0.3
-        mu, _ = self.current.predict(self.train_X)
-        if np.ptp(self.train_y) == 0 or np.ptp(mu) == 0:
-            return 0.3
-        tau = kendall_tau(mu, self.train_y)
-        return float(np.clip((1.0 + tau) / 2.0, 0.1, 1.0))
+    current_weight: float
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         X = np.atleast_2d(X)
         mu_c, sd_c = self.current.predict(X)
         mean, sd = self.y_scale
-        mus, sigmas, weights = [mu_c], [sd_c], [self._current_weight()]
+        mus, sigmas, weights = [mu_c], [sd_c], [self.current_weight]
         Xc = X[:, : self.config_dim]
         for task, w in self.sources:
             if w <= 0:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.bo import RunHistory
 from repro.core.config_space import ConfigSpace
 from repro.core.meta import (
-    MetaLearner, SourceTask, kendall_tau, rank_distance, surrogate_distance,
+    MetaLearner, SourceTask, cv_weight, kendall_tau, rank_distance, surrogate_distance,
 )
 from repro.core.objective import ExecResult, TuningProblem
 
@@ -144,3 +144,24 @@ class TestEnsembleSurrogate:
         mu_lo, _ = ens.predict(lo)
         mu_hi, _ = ens.predict(hi)
         assert mu_hi[0] > mu_lo[0]  # source knowledge orients the surrogate
+
+    def test_current_weight_computed_once(self, space, monkeypatch):
+        tasks = [
+            _task(space, "a", lambda u: 100 * u[0], seed=1),
+            _task(space, "b", lambda u: 105 * u[0], seed=2),
+        ]
+        factory = MetaLearner(space, seed=0).fit(tasks).ensemble_factory(tasks[0].meta)
+        from repro.core.gp import GaussianProcess
+
+        rng = np.random.default_rng(7)
+        X = rng.random((12, space.dim))
+        y = 100 * X[:, 0] + rng.normal(0, 5, 12)
+        ens = factory(X, y, GaussianProcess(space.cat_mask))
+        assert ens.current_weight == cv_weight(ens.current, X, y)
+        assert 0.1 <= ens.current_weight <= 1.0
+        calls = []
+        real = ens.current.predict
+        monkeypatch.setattr(ens.current, "predict", lambda U: calls.append(len(U)) or real(U))
+        ens.predict(rng.random((6, space.dim)))
+        ens.predict(rng.random((4, space.dim)))
+        assert calls == [6, 4]  # the query rows only, never the training rows
